@@ -23,11 +23,15 @@
 //!   unaligned touches have knocked per-set recency out of lockstep, the
 //!   write-path steady state: batched fills that cannot take the
 //!   uniform-recency splat.
-//! * `mixed_fallback` — 48-line replays at a 64-line stride: every group
-//!   stays partially resident, so every touch takes the exact per-line
-//!   fallback walk and the summaries only pay their maintenance cost.
+//! * `mixed_fallback` — 48-line replays of groups whose other 16 lines
+//!   another core owns: mixed ownership defeats every summary, so every
+//!   touch takes the exact per-line fallback walk and the summaries only
+//!   pay their maintenance cost.
+//!
+//! Each result carries the extent counters its timed loop added, so a
+//! test can check that a regime takes the path it is named after.
 
-use sais_mem::{AddrAlloc, AddrRange, MemParams, MemorySystem};
+use sais_mem::{AddrAlloc, AddrRange, ExtentStats, MemParams, MemorySystem};
 use std::time::Instant;
 
 /// One regime's measurement.
@@ -38,6 +42,8 @@ pub struct RegimeResult {
     pub ns_per_line: f64,
     /// Total lines touched by the timed loop (sanity anchor).
     pub lines: u64,
+    /// Extent-path counters added by the timed loop.
+    pub paths: ExtentStats,
 }
 
 const STRIP_BYTES: u64 = 64 * 1024; // 1024 lines, 16 aligned groups
@@ -52,12 +58,27 @@ fn per_line(dt_secs: f64, lines: u64) -> f64 {
     dt_secs * 1e9 / lines as f64
 }
 
+/// The extent counters `mem` gained since `before`.
+fn paths_since(mem: &MemorySystem, before: ExtentStats) -> ExtentStats {
+    let now = mem.extent_stats();
+    ExtentStats {
+        enabled: now.enabled,
+        whole_hit_groups: now.whole_hit_groups - before.whole_hit_groups,
+        whole_c2c_groups: now.whole_c2c_groups - before.whole_c2c_groups,
+        whole_fill_groups: now.whole_fill_groups - before.whole_fill_groups,
+        partial_hit_lines: now.partial_hit_lines - before.partial_hit_lines,
+        masked_fill_lines: now.masked_fill_lines - before.masked_fill_lines,
+        fallback_lines: now.fallback_lines - before.fallback_lines,
+    }
+}
+
 /// All-hit replay of one resident strip on its owning core.
 fn hit_replay(reps: u64) -> RegimeResult {
     let (mut mem, mut alloc) = fresh(8);
     let strip = alloc.alloc(STRIP_BYTES);
     mem.touch(3, strip);
     let mut lines = 0u64;
+    let before = mem.extent_stats();
     let t0 = Instant::now();
     for _ in 0..reps {
         lines += mem.touch(3, strip).hits;
@@ -66,6 +87,7 @@ fn hit_replay(reps: u64) -> RegimeResult {
         regime: "hit_replay",
         ns_per_line: per_line(t0.elapsed().as_secs_f64(), lines),
         lines,
+        paths: paths_since(&mem, before),
     }
 }
 
@@ -77,6 +99,7 @@ fn c2c_pingpong(reps: u64) -> RegimeResult {
     // (including the first) is a whole-strip migration.
     mem.touch(1, strip);
     let mut lines = 0u64;
+    let before = mem.extent_stats();
     let t0 = Instant::now();
     for i in 0..reps {
         lines += mem.touch((i % 2) as usize, strip).c2c;
@@ -85,6 +108,7 @@ fn c2c_pingpong(reps: u64) -> RegimeResult {
         regime: "c2c_pingpong",
         ns_per_line: per_line(t0.elapsed().as_secs_f64(), lines),
         lines,
+        paths: paths_since(&mem, before),
     }
 }
 
@@ -92,6 +116,7 @@ fn c2c_pingpong(reps: u64) -> RegimeResult {
 fn cold_stream(reps: u64) -> RegimeResult {
     let (mut mem, mut alloc) = fresh(8);
     let mut lines = 0u64;
+    let before = mem.extent_stats();
     let t0 = Instant::now();
     for _ in 0..reps {
         let b = alloc.alloc(STRIP_BYTES);
@@ -101,6 +126,7 @@ fn cold_stream(reps: u64) -> RegimeResult {
         regime: "cold_stream",
         ns_per_line: per_line(t0.elapsed().as_secs_f64(), lines),
         lines,
+        paths: paths_since(&mem, before),
     }
 }
 
@@ -125,6 +151,7 @@ fn poisoned_stream(reps: u64) -> RegimeResult {
         );
     }
     let mut lines = 0u64;
+    let before = mem.extent_stats();
     let t0 = Instant::now();
     for _ in 0..reps {
         let b = alloc.alloc(STRIP_BYTES);
@@ -134,11 +161,13 @@ fn poisoned_stream(reps: u64) -> RegimeResult {
         regime: "poisoned_stream",
         ns_per_line: per_line(t0.elapsed().as_secs_f64(), lines),
         lines,
+        paths: paths_since(&mem, before),
     }
 }
 
-/// 48-line replays at a 64-line stride: every group is partially
-/// resident forever, so every touch takes the exact fallback walk.
+/// 48-line replays of the head of every group of a strip whose 16-line
+/// tails core 2 owns: no group is uniformly owned, so every touch takes
+/// the exact fallback walk.
 fn mixed_fallback(reps: u64) -> RegimeResult {
     let (mut mem, mut alloc) = fresh(8);
     let strip = alloc.alloc(STRIP_BYTES);
@@ -148,8 +177,10 @@ fn mixed_fallback(reps: u64) -> RegimeResult {
         .collect();
     for r in &parts {
         mem.touch(1, *r);
+        mem.touch(2, AddrRange::new(r.end(), 16 * line));
     }
     let mut lines = 0u64;
+    let before = mem.extent_stats();
     let t0 = Instant::now();
     for _ in 0..reps {
         for r in &parts {
@@ -160,6 +191,7 @@ fn mixed_fallback(reps: u64) -> RegimeResult {
         regime: "mixed_fallback",
         ns_per_line: per_line(t0.elapsed().as_secs_f64(), lines),
         lines,
+        paths: paths_since(&mem, before),
     }
 }
 
@@ -193,6 +225,36 @@ mod tests {
         assert_eq!(r.lines, 3 * 16 * 48);
         for r in run_regimes_quick() {
             assert!(r.ns_per_line.is_finite() && r.ns_per_line > 0.0);
+        }
+    }
+
+    #[test]
+    fn regimes_take_the_paths_they_are_named_after() {
+        let reps = 3;
+        let groups = reps * 16;
+        // (whole hits, whole c2c, whole fills, fallback lines); every
+        // other counter must stay zero.
+        let paths = |hit, c2c, fill, fallback| ExtentStats {
+            enabled: true,
+            whole_hit_groups: hit,
+            whole_c2c_groups: c2c,
+            whole_fill_groups: fill,
+            partial_hit_lines: 0,
+            masked_fill_lines: 0,
+            fallback_lines: fallback,
+        };
+        let cases = [
+            (hit_replay(reps), paths(groups, 0, 0, 0)),
+            (c2c_pingpong(reps), paths(0, groups, 0, 0)),
+            (cold_stream(reps), paths(0, 0, groups, 0)),
+            (poisoned_stream(reps), paths(0, 0, groups, 0)),
+            (mixed_fallback(reps), paths(0, 0, 0, groups * 48)),
+        ];
+        for (r, want) in cases {
+            // `SAIS_MEM_NO_EXTENTS=1` turns every path off.
+            if r.paths.enabled {
+                assert_eq!(r.paths, want, "{}", r.regime);
+            }
         }
     }
 

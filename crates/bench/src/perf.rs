@@ -763,11 +763,13 @@ mod tests {
                 regime: "hit_replay",
                 ns_per_line: 0.456,
                 lines: 20_480_000,
+                paths: Default::default(),
             },
             crate::microtouch::RegimeResult {
                 regime: "cold_stream",
                 ns_per_line: 3.1,
                 lines: 5_120_000,
+                paths: Default::default(),
             },
         ];
         let json = to_json(&results, &exec, &regimes);

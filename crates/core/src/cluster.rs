@@ -1094,7 +1094,6 @@ impl Cluster {
             let (d, r) = cl.composer.policy().steering_churn();
             steering_degrades += d;
             steering_repromotes += r;
-            cl.mem.debug_dump_extents();
             l2_accesses += cl.mem.total_accesses();
             l2_misses += cl.mem.total_misses();
             c2c_lines += cl.mem.c2c_transfers();

@@ -4,6 +4,8 @@
 //! kernel packet buffer, page-cache page and user buffer is a range of
 //! simulated physical addresses, allocated once and never reused while live.
 
+use crate::extent::GROUP_LINES;
+
 /// A cache-line-granular address: the line index (byte address / line size).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LineAddr(pub u64);
@@ -85,8 +87,13 @@ impl AddrAlloc {
             "line size must be a power of two"
         );
         AddrAlloc {
-            // Start above the null page, mirroring real kernels.
-            next: line_size,
+            // Leave the first page unmapped, as real kernels do. Starting on
+            // an extent-group boundary puts every whole-page buffer (64 KiB
+            // strips, user buffers) on whole groups, which
+            // `MemorySystem::touch` serves in O(1) each. A uniform shift of
+            // all addresses only renames cache sets, so results do not
+            // depend on this base.
+            next: GROUP_LINES * line_size,
             line_size,
             allocated: 0,
         }
@@ -161,6 +168,18 @@ mod tests {
         assert!(r1.end() <= r2.start);
         assert!(r2.end() <= r3.start);
         assert_eq!(a.allocated_bytes(), 100 + 1 + 65536);
+    }
+
+    #[test]
+    fn strips_start_on_page_boundaries() {
+        let mut a = AddrAlloc::new(64);
+        let first = a.alloc(65536);
+        assert_eq!(first.start, 4096, "first page stays unmapped");
+        for _ in 0..32 {
+            let strip = a.alloc(65536);
+            assert_eq!(strip.start % 4096, 0);
+            assert_eq!(strip.line_count(64) % GROUP_LINES, 0);
+        }
     }
 
     #[test]

@@ -225,25 +225,6 @@ impl MemorySystem {
         self.caches.len()
     }
 
-    /// Debug aid: dump fast-path engagement to stderr when
-    /// `SAIS_MEM_EXT_DEBUG` is set. Callers that own a `MemorySystem`
-    /// for a whole scenario call this once at teardown.
-    pub fn debug_dump_extents(&self) {
-        if std::env::var_os("SAIS_MEM_EXT_DEBUG").is_some() {
-            let s = self.extent_stats();
-            eprintln!(
-                "[mem-extents] enabled={} whole_hit={} whole_c2c={} whole_fill={} partial_hit={} masked_fill={} fallback_lines={}",
-                s.enabled,
-                s.whole_hit_groups,
-                s.whole_c2c_groups,
-                s.whole_fill_groups,
-                s.partial_hit_lines,
-                s.masked_fill_lines,
-                s.fallback_lines,
-            );
-        }
-    }
-
     /// The hierarchy parameters.
     pub fn params(&self) -> &MemParams {
         &self.params
