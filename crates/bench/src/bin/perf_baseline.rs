@@ -149,7 +149,13 @@ fn main() {
     // one — appending first would make every run its own yardstick.
     let history = perf::history_path();
     if compare {
-        let best = perf::history_best(&history);
+        let (best, skipped) = perf::history_best(&history);
+        if skipped > 0 {
+            eprintln!(
+                "warning: skipped {skipped} unusable line(s) of {}",
+                history.display()
+            );
+        }
         let verdict = perf::compare_to_best(&results, &best, perf::HISTORY_TOLERANCE);
         eprintln!("\nvs best recorded run ({}):", history.display());
         for line in &verdict.lines {

@@ -27,6 +27,11 @@
 //!   another core owns: mixed ownership defeats every summary, so every
 //!   touch takes the exact per-line fallback walk and the summaries only
 //!   pay their maintenance cost.
+//! * `chunk_edge` — each fresh strip arrives as six interrupt chunks
+//!   sized the way `NicBond::receive_strip` sizes them (45 frames of
+//!   1460 B, coalesced 8 to a batch), alternating between two handler
+//!   cores, and is then consumed on a third: the chunk-edge partial fills
+//!   and the mixed-ownership migrations of the interrupt-heavy read path.
 //!
 //! Each result carries the extent counters its timed loop added, so a
 //! test can check that a regime takes the path it is named after.
@@ -195,6 +200,47 @@ fn mixed_fallback(reps: u64) -> RegimeResult {
     }
 }
 
+/// Byte sizes of a strip's interrupt chunks: `frames` frames coalesced
+/// `per_batch` to an interrupt, the payload split pro rata by cumulative
+/// frame count (the arithmetic of `NicBond::receive_strip`).
+fn chunk_bytes(payload: u64, frames: u64, per_batch: u64) -> Vec<u64> {
+    let batches = frames.div_ceil(per_batch);
+    (1..=batches)
+        .map(|b| {
+            let cum = |b: u64| payload * (frames * b / batches) / frames;
+            cum(b) - cum(b - 1)
+        })
+        .collect()
+}
+
+/// Fresh strips filled in interrupt-sized chunks that alternate between
+/// cores 0 and 1, each strip then read on core 2. No chunk ends on a
+/// group boundary, so every chunk starts and ends with a partial group.
+fn chunk_edge(reps: u64) -> RegimeResult {
+    let (mut mem, mut alloc) = fresh(8);
+    let chunks = chunk_bytes(STRIP_BYTES, STRIP_BYTES.div_ceil(1460), 8);
+    let mut lines = 0u64;
+    let before = mem.extent_stats();
+    let t0 = Instant::now();
+    for _ in 0..reps {
+        let strip = alloc.alloc(STRIP_BYTES);
+        let mut off = 0;
+        for (i, &bytes) in chunks.iter().enumerate() {
+            lines += mem
+                .touch(i % 2, AddrRange::new(strip.start + off, bytes))
+                .lines;
+            off += bytes;
+        }
+        lines += mem.touch(2, strip).lines;
+    }
+    RegimeResult {
+        regime: "chunk_edge",
+        ns_per_line: per_line(t0.elapsed().as_secs_f64(), lines),
+        lines,
+        paths: paths_since(&mem, before),
+    }
+}
+
 /// Run every regime at the default rep counts (a few ms each).
 pub fn run_regimes() -> Vec<RegimeResult> {
     vec![
@@ -203,6 +249,7 @@ pub fn run_regimes() -> Vec<RegimeResult> {
         cold_stream(5_000),
         poisoned_stream(5_000),
         mixed_fallback(2_000),
+        chunk_edge(2_000),
     ]
 }
 
@@ -223,6 +270,14 @@ mod tests {
         assert_eq!(r.lines, 3 * 1024);
         let r = mixed_fallback(3);
         assert_eq!(r.lines, 3 * 16 * 48);
+        // Six chunks of 10,194-11,651 B: all five chunk edges split a
+        // line between two chunks, and the consuming read touches 1024.
+        assert_eq!(
+            chunk_bytes(STRIP_BYTES, 45, 8),
+            [10194, 11651, 10194, 11651, 10195, 11651]
+        );
+        let r = chunk_edge(3);
+        assert_eq!(r.lines, 3 * (1024 + 5 + 1024));
         for r in run_regimes_quick() {
             assert!(r.ns_per_line.is_finite() && r.ns_per_line > 0.0);
         }
@@ -256,6 +311,13 @@ mod tests {
                 assert_eq!(r.paths, want, "{}", r.regime);
             }
         }
+        // Chunk edges: the partial groups at each edge take the masked
+        // fill, the groups a chunk covers whole take the group fill.
+        let r = chunk_edge(reps);
+        if r.paths.enabled {
+            assert!(r.paths.masked_fill_lines > 0, "{:?}", r.paths);
+            assert!(r.paths.whole_fill_groups > 0, "{:?}", r.paths);
+        }
     }
 
     fn run_regimes_quick() -> Vec<RegimeResult> {
@@ -265,6 +327,7 @@ mod tests {
             cold_stream(2),
             poisoned_stream(2),
             mixed_fallback(2),
+            chunk_edge(2),
         ]
     }
 }

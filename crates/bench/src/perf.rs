@@ -488,20 +488,27 @@ pub struct BestRun {
 }
 
 /// Best recorded events/sec per scenario over the whole trajectory, each
-/// carrying the provenance of the line that set it. Lines that fail to
-/// parse or carry a foreign schema are skipped, so a half-written final
-/// line cannot poison the gate. Empty when the file is missing or holds
-/// no usable runs.
-pub fn history_best(path: &Path) -> Vec<BestRun> {
+/// carrying the provenance of the line that set it, plus the number of
+/// non-blank lines skipped. A line is skipped when it fails to parse,
+/// carries a foreign schema or has no scenario list — so a half-written
+/// final line cannot poison the gate — or when any of its scenarios
+/// records an events/sec that is not finite or not positive: the JSON
+/// reader maps `1e999` to `+inf`, and one such "best" would make every
+/// later run look like a regression. Empty when the file is missing or
+/// holds no usable runs.
+pub fn history_best(path: &Path) -> (Vec<BestRun>, usize) {
     let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new();
+        return (Vec::new(), 0);
     };
     let mut best: Vec<BestRun> = Vec::new();
-    for line in text.lines() {
+    let mut skipped = 0;
+    for line in text.lines().filter(|l| !l.trim().is_empty()) {
         let Ok(doc) = JsonValue::parse(line) else {
+            skipped += 1;
             continue;
         };
         if doc.get("schema").and_then(JsonValue::as_str) != Some(HISTORY_SCHEMA) {
+            skipped += 1;
             continue;
         }
         let unix_ms = doc.get("unix_ms").and_then(JsonValue::as_u64).unwrap_or(0);
@@ -511,8 +518,18 @@ pub fn history_best(path: &Path) -> Vec<BestRun> {
             .unwrap_or("unknown")
             .to_string();
         let Some(scenarios) = doc.get("scenarios").and_then(JsonValue::as_array) else {
+            skipped += 1;
             continue;
         };
+        let bad_rate = scenarios.iter().any(|sc| {
+            sc.get("events_per_sec")
+                .and_then(JsonValue::as_f64)
+                .is_some_and(|eps| !eps.is_finite() || eps <= 0.0)
+        });
+        if bad_rate {
+            skipped += 1;
+            continue;
+        }
         for sc in scenarios {
             let (Some(name), Some(eps)) = (
                 sc.get("name").and_then(JsonValue::as_str),
@@ -564,7 +581,7 @@ pub fn history_best(path: &Path) -> Vec<BestRun> {
             }
         }
     }
-    best
+    (best, skipped)
 }
 
 /// The trajectory gate's verdict on one measurement run.
@@ -885,7 +902,7 @@ mod tests {
             std::env::temp_dir().join(format!("sais_history_test_{}.jsonl", std::process::id()));
         let _ = std::fs::remove_file(&path);
         assert!(
-            history_best(&path).is_empty(),
+            history_best(&path).0.is_empty(),
             "missing file is empty history"
         );
         append_history(&path, &synthetic_results(40_000.0), 1).unwrap();
@@ -897,7 +914,8 @@ mod tests {
             .open(&path)
             .and_then(|mut f| std::io::Write::write_all(&mut f, b"{\"schema\": \"sais-"))
             .unwrap();
-        let best = history_best(&path);
+        let (best, skipped) = history_best(&path);
+        assert_eq!(skipped, 1, "the torn line");
         assert_eq!(best.len(), canonical_scenarios().len());
         for b in &best {
             assert_eq!(
@@ -931,11 +949,39 @@ mod tests {
             "{\"schema\": \"sais-perf-history/v1\", \"unix_ms\": 7, \"scenarios\": [{\"name\": \"read_3gig_48srv\", \"events\": 9, \"wall_secs\": 1.0, \"events_per_sec\": 9}]}\n",
         )
         .unwrap();
-        let best = history_best(&path);
+        let (best, skipped) = history_best(&path);
+        assert_eq!(skipped, 0);
         assert_eq!(best.len(), 1);
         assert_eq!(best[0].git_rev, "unknown");
         assert_eq!(best[0].phases, None);
         assert_eq!(best[0].mem_phase_ns, None);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn history_best_skips_unbeatable_and_negative_rates() {
+        // `1e999` parses to +inf: taken as a best it would fail every
+        // later comparison. A negative rate is equally impossible.
+        let path = std::env::temp_dir().join(format!(
+            "sais_history_bad_rates_{}.jsonl",
+            std::process::id()
+        ));
+        let line = |eps: &str| {
+            format!(
+                "{{\"schema\": \"sais-perf-history/v1\", \"unix_ms\": 7, \"scenarios\": [{{\"name\": \"read_3gig_48srv\", \"events\": 9, \"wall_secs\": 1.0, \"events_per_sec\": {eps}}}]}}\n"
+            )
+        };
+        std::fs::write(
+            &path,
+            line("1e999") + &line("-5") + &line("900") + &line("0"),
+        )
+        .unwrap();
+        let (best, skipped) = history_best(&path);
+        assert_eq!(skipped, 3);
+        assert_eq!(best.len(), 1);
+        assert_eq!(best[0].events_per_sec, 900.0);
+        let verdict = compare_to_best(&synthetic_results(1_000.0), &best, HISTORY_TOLERANCE);
+        assert!(!verdict.regressed, "{:?}", verdict.lines);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -383,22 +383,29 @@ impl SetAssocCache {
     /// eviction order — the extent summaries need the decrements, and
     /// threading a sink through here keeps the eviction path free of
     /// per-line calls back into the memory system. `V` is a const
-    /// parameter so the summary-off walk monomorphizes to exactly the
-    /// original loop, with no sink checks on the hot path.
+    /// parameter so the summary-off walk monomorphizes with no sink
+    /// checks on the hot path.
     ///
-    /// In the streaming steady state every set of a wrap-free chunk is
-    /// full, and a full-set fill is a pure LRU rotation — victim way from
-    /// the last active nibble, tag overwrite, permutation shifted one
-    /// nibble — with no occupancy update and no branches. When the whole
-    /// chunk additionally shares one recency word (consecutive sets
-    /// driven through identical histories — the streaming case), the
-    /// rotation is computed once and the chunk collapses to four
-    /// vectorizable strides: a tag copy-out (victims), a tag iota store,
-    /// a recency splat and an entry iota store. Otherwise the chunk runs
-    /// the tight per-set loop; a chunk with any non-full set falls back
-    /// to the exact per-line [`SetAssocCache::fill_absent`]. In every
-    /// case the per-set sequence of way choices, tag writes and recency
-    /// updates is identical to the per-line path, just batched.
+    /// The lines occupy distinct consecutive sets, and
+    /// [`SetAssocCache::fill_absent`]'s choice at a set depends only on
+    /// that set's `(occ, recency)` pair. So the run is cut into maximal
+    /// stretches of consecutive sets sharing one pair (never across the
+    /// set-array wrap), and each stretch makes its choice once:
+    ///
+    /// * full — evict the last active recency nibble and rotate it to
+    ///   MRU, dropping (after materializing) the victim way's lazy strip
+    ///   hint once per block covered;
+    /// * not full — take the lowest empty way, set it in the occupancy
+    ///   mask and promote it, counting the sets it completes.
+    ///
+    /// A stretch is then one victim copy-out plus splats of tags,
+    /// recency, occupancy and directory entries; a stretch of one set is
+    /// the per-line path. Streaming fills (sets driven through identical
+    /// histories) collapse to one stretch per wrap-free chunk, and fills
+    /// into partly diverged sets (chunk edges, refills after a
+    /// migration) cost one stretch per change of state. The per-set
+    /// sequence of way choices, tag writes and recency updates is
+    /// exactly the per-line path's.
     #[inline]
     pub(crate) fn fill_run<const V: bool>(
         &mut self,
@@ -414,85 +421,69 @@ impl SetAssocCache {
             let set0 = ((first.0 + done as u64) & self.set_mask) as usize;
             let chunk = (entries.len() - done).min(self.sets - set0);
             self.materialize_range(set0, chunk);
-            let full = self.full_mask;
-            let all_full = self.occ[set0..set0 + chunk].iter().all(|&o| o == full);
-            if all_full {
-                let perm0 = self.recency[set0];
-                // Cheap first==last probe before the full equality scan:
-                // diverged-recency chunks (the common case under mixed
-                // access patterns) bail on one comparison instead of
-                // walking the whole slice and then redoing it scalar.
-                if self.recency[set0 + chunk - 1] == perm0
-                    && self.recency[set0..set0 + chunk].iter().all(|&p| p == perm0)
-                {
-                    // One shared recency word: rotate once, splat.
+            let mut j = 0usize;
+            while j < chunk {
+                let s = set0 + j;
+                let (occ0, perm0) = (self.occ[s], self.recency[s]);
+                let n = 1 + self.occ[s + 1..set0 + chunk]
+                    .iter()
+                    .zip(&self.recency[s + 1..set0 + chunk])
+                    .take_while(|&(&o, &p)| o == occ0 && p == perm0)
+                    .count();
+                let (way, nperm) = if occ0 == self.full_mask {
                     let way = ((perm0 >> top_shift) & 0xF) as usize;
                     debug_assert!(way < self.assoc, "victim nibble out of range");
-                    let nperm = (perm0 << 4) | way as u64;
                     // Materialize any lazy victim strips before their raw
                     // tags are read out as victims, then drop the hints
                     // the overwrite is about to break.
                     if self.blocks != 0 {
-                        for b in (set0 >> BLOCK_SHIFT)..=((set0 + chunk - 1) >> BLOCK_SHIFT) {
+                        for b in (s >> BLOCK_SHIFT)..=((s + n - 1) >> BLOCK_SHIFT) {
                             self.materialize_strip_tags(way, b);
                             self.vstrip[way * self.blocks + b] = 0;
                         }
                     }
-                    let base = (way << self.set_shift) | set0;
-                    let tags = &mut self.tags[base..base + chunk];
                     if V {
-                        victims.extend_from_slice(tags);
+                        let base = (way << self.set_shift) | s;
+                        victims.extend_from_slice(&self.tags[base..base + n]);
                     }
-                    for (j, t) in tags.iter_mut().enumerate() {
-                        *t = first.0 + (done + j) as u64;
-                    }
-                    for p in &mut self.recency[set0..set0 + chunk] {
-                        *p = nperm;
-                    }
-                    for (j, e) in entries[done..done + chunk].iter_mut().enumerate() {
-                        *e = packed_base | (base + j) as u32;
-                    }
+                    evictions += n as u64;
+                    (way, (perm0 << 4) | way as u64)
                 } else {
-                    // SAFETY: `set0 + chunk <= sets` by construction (the
-                    // occupancy slice above proves it), every slot
-                    // `(way << set_shift) | set` with `way < assoc` is
-                    // within `tags`, and the victim way is the last
-                    // active nibble of a permutation of `0..assoc`
-                    // (pinned by the debug assert). `done + j` indexes
-                    // `entries` within the chunk bound checked above.
-                    for j in 0..chunk {
-                        let set = set0 + j;
-                        let perm = unsafe { *self.recency.get_unchecked(set) };
-                        let way = ((perm >> top_shift) & 0xF) as usize;
-                        debug_assert!(way < self.assoc, "victim nibble out of range");
-                        // Before the victim tag read: a lazy strip's raw
-                        // word is stale until materialized.
-                        self.clear_strip_hint(way, set);
-                        unsafe {
-                            let slot = (way << self.set_shift) | set;
-                            let tag = self.tags.get_unchecked_mut(slot);
-                            if V {
-                                victims.push(*tag);
-                            }
-                            *tag = first.0 + (done + j) as u64;
-                            *self.recency.get_unchecked_mut(set) = (perm << 4) | way as u64;
-                            *entries.get_unchecked_mut(done + j) = packed_base | slot as u32;
+                    // First empty way, as the scanning walk chose it. An
+                    // empty way's strip is never lazy (lazy ⇒ fully
+                    // resident) and never hinted (every tag clear drops
+                    // the hint), so the raw tag stores below are sound.
+                    let way = (!occ0 & self.full_mask).trailing_zeros() as usize;
+                    let nocc = occ0 | (1 << way);
+                    for o in &mut self.occ[s..s + n] {
+                        *o = nocc;
+                    }
+                    if nocc == self.full_mask {
+                        for t in s..s + n {
+                            self.note_set_filled(t);
                         }
                     }
-                }
-                evictions += chunk as u64;
-            } else {
-                for j in 0..chunk {
-                    let line = LineAddr(first.0 + (done + j) as u64);
-                    let (slot, ev) = self.fill_absent(line);
-                    evictions += ev.is_some() as u64;
-                    if V {
-                        if let Some(e) = ev {
-                            victims.push(e.0);
-                        }
+                    self.resident += n as u64;
+                    (way, Self::promote_word(perm0, way as u64))
+                };
+                let base = (way << self.set_shift) | s;
+                #[cfg(debug_assertions)]
+                if occ0 != self.full_mask {
+                    for t in &self.tags[base..base + n] {
+                        debug_assert_eq!(*t, TAG_INVALID, "fill into an occupied way");
                     }
-                    entries[done + j] = packed_base | slot;
                 }
+                let line0 = first.0 + (done + j) as u64;
+                let stores = self.tags[base..base + n]
+                    .iter_mut()
+                    .zip(&mut self.recency[s..s + n])
+                    .zip(&mut entries[done + j..done + j + n]);
+                for (k, ((t, p), e)) in stores.enumerate() {
+                    *t = line0 + k as u64;
+                    *p = nperm;
+                    *e = packed_base | (base + k) as u32;
+                }
+                j += n;
             }
             done += chunk;
         }
@@ -987,9 +978,147 @@ impl SetAssocCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn line(n: u64) -> LineAddr {
         LineAddr(n)
+    }
+
+    /// Way holding `line`, if resident.
+    fn way_of(c: &SetAssocCache, line: u64) -> Option<usize> {
+        let set = (line & c.set_mask) as usize;
+        (0..c.assoc).find(|&w| c.logical_tag(w, set) == line)
+    }
+
+    /// Apply one random state-building op: `kind` picks a ranged insert,
+    /// a whole-group virtual fill, an invalidation or a promotion over
+    /// `[start, start + len)`. Invalidations and promotions take the
+    /// batched same-way path when every line of a short range sits at
+    /// one way, so lazy strips get both kept and disturbed.
+    fn apply_op(c: &mut SetAssocCache, kind: u8, start: u64, len: u64) {
+        match kind {
+            0 => {
+                for l in start..start + len {
+                    c.insert(LineAddr(l));
+                }
+            }
+            1 => {
+                let g = start & !(BLOCK_SETS as u64 - 1);
+                if (g..g + BLOCK_SETS as u64).all(|l| way_of(c, l).is_none()) {
+                    let mut sink = Vec::new();
+                    if c.fill_group_virtual(LineAddr(g), &mut sink).is_none() {
+                        c.fill_run::<true>(LineAddr(g), &mut [0u32; BLOCK_SETS], 0, &mut sink);
+                    }
+                }
+            }
+            _ => {
+                let len = len.min(64);
+                let ways: Vec<Option<usize>> = (start..start + len).map(|l| way_of(c, l)).collect();
+                match ways[0] {
+                    Some(w) if ways.iter().all(|&x| x == Some(w)) => {
+                        if kind == 2 {
+                            c.invalidate_run(LineAddr(start), w as u64, len as usize);
+                        } else {
+                            c.promote_uniform(LineAddr(start), w as u64, len as usize);
+                        }
+                    }
+                    _ => {
+                        for l in start..start + len {
+                            if kind == 2 {
+                                c.invalidate(LineAddr(l));
+                            } else {
+                                c.access(LineAddr(l));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Everything a fill can change, read logically: tags through lazy
+    /// strips, recency through virtual blocks.
+    #[derive(PartialEq)]
+    struct LogicalState {
+        tags: Vec<u64>,
+        occ: Vec<u16>,
+        recency: Vec<u64>,
+        full_count: Vec<u32>,
+        vstrip: Vec<u64>,
+        resident: u64,
+    }
+
+    fn logical_state(c: &SetAssocCache) -> LogicalState {
+        LogicalState {
+            tags: (0..c.assoc)
+                .flat_map(|w| (0..c.sets).map(move |s| (w, s)))
+                .map(|(w, s)| c.logical_tag(w, s))
+                .collect(),
+            occ: c.occ.to_vec(),
+            recency: (0..c.sets)
+                .map(|s| {
+                    let b = s >> BLOCK_SHIFT;
+                    if c.blocks != 0 && c.vperm_on[b] {
+                        c.vperm[b]
+                    } else {
+                        c.recency[s]
+                    }
+                })
+                .collect(),
+            full_count: c.full_count.to_vec(),
+            vstrip: c.vstrip.to_vec(),
+            resident: c.resident,
+        }
+    }
+
+    proptest! {
+        /// The run-length batched fill is exactly the per-line fill: from
+        /// random states mixing ranged inserts, virtual (lazy) groups,
+        /// holes and promotions, a fill run that crosses block boundaries
+        /// and the set-array wrap leaves the same logical tags, occupancy,
+        /// recency, full-set counts, strip hints and residency, evicts
+        /// the same victims in the same order and writes the same
+        /// directory entries as `fill_absent` line by line.
+        #[test]
+        fn fill_run_matches_per_line_fills(
+            sets in prop_oneof![Just(32usize), Just(64usize), Just(128usize), Just(256usize)],
+            assoc in 1usize..9,
+            groups in proptest::collection::vec(0u64..64, 0..24),
+            ops in proptest::collection::vec((0u8..4, 0u64..4096, 1u64..160), 0..48),
+            run_start in 0u64..256,
+            run_len in 1usize..400,
+            packed_base in 0u32..8
+        ) {
+            let mut c = SetAssocCache::new(sets, assoc);
+            // Seed lazy strips first, then churn them.
+            for &g in &groups {
+                apply_op(&mut c, 1, g * BLOCK_SETS as u64, 1);
+            }
+            for &(kind, start, len) in &ops {
+                apply_op(&mut c, kind, start, len);
+            }
+            c.check_block_invariants();
+            let mut per_line = c.clone();
+            // Far above every op's lines, so the whole run is absent.
+            let first = LineAddr((1 << 20) + run_start % sets as u64);
+            let packed_base = packed_base << 24;
+            let mut entries = vec![0u32; run_len];
+            let mut victims = Vec::new();
+            let evictions = c.fill_run::<true>(first, &mut entries, packed_base, &mut victims);
+            let mut want_entries = Vec::with_capacity(run_len);
+            let mut want_victims = Vec::new();
+            for j in 0..run_len as u64 {
+                let (slot, ev) = per_line.fill_absent(LineAddr(first.0 + j));
+                want_entries.push(packed_base | slot);
+                want_victims.extend(ev.map(|v| v.0));
+            }
+            c.check_block_invariants();
+            prop_assert!(!victims.contains(&TAG_INVALID), "evicted an empty way");
+            prop_assert_eq!(evictions, want_victims.len() as u64);
+            prop_assert_eq!(&victims, &want_victims);
+            prop_assert_eq!(&entries, &want_entries);
+            prop_assert!(logical_state(&c) == logical_state(&per_line), "cache state diverged");
+        }
     }
 
     #[test]

@@ -27,7 +27,6 @@ pub mod link;
 pub mod nic;
 pub mod rss;
 pub mod segment;
-pub mod switch;
 pub mod tcp;
 
 pub use ethernet::{EthernetFrame, FrameError, MacAddr};
@@ -38,5 +37,4 @@ pub use link::Link;
 pub use nic::{CoalesceParams, InterruptBatch, NicBond};
 pub use rss::{hash_v4_tcp, toeplitz, IndirectionTable, MICROSOFT_KEY};
 pub use segment::{SegmentPlan, ETH_OVERHEAD, IPV4_BASE_HEADER, TCP_HEADER};
-pub use switch::{Forward, Switch};
 pub use tcp::{simulate_transfer, CongPhase, PipeFaults, TcpReceiver, TcpSender, TransferReport};
