@@ -37,6 +37,7 @@ pub use forensics::tail_report;
 pub use timeline::CoreTimeline;
 
 use crate::json::JsonValue;
+use crate::perfetto::span_slot;
 use crate::span::FlightRecorder;
 use sais_sim::SimTime;
 
@@ -154,7 +155,8 @@ impl Trace {
             .get("traceEvents")
             .and_then(JsonValue::as_array)
             .ok_or("missing traceEvents array")?;
-        let mut slots: Vec<Option<ASpan>> = Vec::new();
+        // One slot per event bounds every span id before it indexes.
+        let mut slots: Vec<Option<ASpan>> = vec![None; events.len()];
         for ev in events {
             if ev.get("ph").and_then(JsonValue::as_str) != Some("X") {
                 continue;
@@ -163,7 +165,7 @@ impl Trace {
             let id = args
                 .get("id")
                 .and_then(JsonValue::as_u64)
-                .ok_or("X event without args.id")? as usize;
+                .ok_or("X event without args.id")?;
             let parent = args
                 .get("parent")
                 .and_then(JsonValue::as_f64)
@@ -215,11 +217,9 @@ impl Trace {
                     .filter_map(|(k, v)| v.as_u64().map(|v| (k.clone(), v)))
                     .collect(),
             };
-            if slots.len() <= id {
-                slots.resize(id + 1, None);
-            }
-            slots[id] = Some(span);
+            *span_slot(&mut slots, id)? = Some(span);
         }
+        slots.truncate(slots.iter().rposition(Option::is_some).map_or(0, |i| i + 1));
         let spans: Vec<ASpan> = slots
             .into_iter()
             .enumerate()
@@ -309,7 +309,9 @@ mod tests {
 
     #[test]
     fn chrome_json_rejects_sparse_or_dangling() {
+        // Two events, so id 1 is in range but id 0 is missing.
         let sparse = r#"{"traceEvents": [
+            {"ph": "M", "pid": 0, "name": "process_name", "args": {"name": "client 0"}},
             {"name": "a", "cat": "c", "ph": "X", "ts": 0.0, "dur": 1.0,
              "pid": 0, "tid": 0, "args": {"id": 1, "parent": -1}}
         ]}"#;
@@ -324,6 +326,32 @@ mod tests {
             .unwrap_err()
             .contains("dangling"));
         assert!(Trace::from_chrome_json("nonsense").is_err());
+    }
+
+    #[test]
+    fn chrome_json_rejects_hostile_span_ids() {
+        let span = |id: &str| {
+            format!(
+                r#"{{"traceEvents": [{{"name": "a", "cat": "c", "ph": "X", "ts": 0.0, "dur": 1.0, "pid": 0, "tid": 0, "args": {{"id": {id}, "parent": -1}}}}]}}"#
+            )
+        };
+        // 2^53 once sized a 216 PB allocation and aborted the process.
+        let err = Trace::from_chrome_json(&span("9007199254740992")).unwrap_err();
+        assert!(err.contains("out of range"), "{err}");
+        assert_eq!(
+            Trace::from_chrome_json(&span("0")).unwrap().spans().len(),
+            1
+        );
+        let dup = r#"{"traceEvents": [
+            {"name": "a", "cat": "c", "ph": "X", "ts": 0.0, "dur": 1.0,
+             "pid": 0, "tid": 0, "args": {"id": 0, "parent": -1}},
+            {"name": "b", "cat": "c", "ph": "X", "ts": 0.0, "dur": 1.0,
+             "pid": 0, "tid": 0, "args": {"id": 0, "parent": -1}}
+        ]}"#;
+        assert_eq!(
+            Trace::from_chrome_json(dup).unwrap_err(),
+            "duplicate span id 0"
+        );
     }
 
     #[test]

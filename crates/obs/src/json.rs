@@ -1,18 +1,32 @@
-//! A minimal JSON reader/writer for exported artifacts.
+//! The crate's JSON reader and writer.
 //!
-//! The build environment vendors no external crates, and the exporters in
-//! this crate hand-write their JSON — so the tests that assert "the trace
-//! is structurally valid Chrome/Perfetto JSON" need an actual parser, not
-//! string scanning, and the trace analyzer needs to load those artifacts
-//! back. This is a small recursive-descent reader covering the full JSON
-//! grammar (objects, arrays, strings with escapes, numbers, booleans,
-//! null), plus a canonical serializer ([`JsonValue::to_json`]) so parsed
-//! documents round-trip. Duplicate object keys are rejected at parse time:
-//! the exporters never produce them and silently keeping the first (or
-//! last) would hide exporter bugs. It is a *test and tooling* utility:
-//! forgiving of nothing, optimized for clarity over speed.
+//! The build environment vendors no external crates, so this module is the
+//! one JSON grammar the crate has. `Reader` is a pull reader: it hands
+//! out a document's tokens in order, checks the grammar as it goes, and
+//! allocates nothing per token once its buffers have grown. Two consumers
+//! drive it:
+//!
+//! * [`JsonValue::parse`] builds a document tree from the tokens, for the
+//!   trace analyzer, the perf-history reader and tests;
+//! * [`crate::perfetto::validate`] streams an exported trace's events
+//!   through it and keeps only the fields it checks. That check runs after
+//!   every observed benchmark run, so the reader is on a timed path: a
+//!   string without escapes is handed out as a slice of the input, and the
+//!   duplicate-key check compares unescaped keys on one reusable key stack,
+//!   allocating nothing per object.
+//!
+//! Duplicate object keys are rejected: the exporters never produce them,
+//! and silently keeping the first (or last) would hide exporter bugs.
+//! Nesting deeper than [`MAX_DEPTH`] is rejected too, so a hostile
+//! document cannot exhaust the stack when its tree is dropped or written.
+//! [`JsonValue::to_json`] serializes a tree canonically, so parsed
+//! documents round-trip.
 
 use std::fmt;
+use std::ops::Range;
+
+/// Deepest container nesting a document may have.
+pub const MAX_DEPTH: usize = 512;
 
 /// A parsed JSON document node.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,21 +62,60 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// A number as an exact unsigned integer: non-negative, integral and at
+/// most 2^53, the range in which f64 holds every integer.
+pub(crate) fn exact_u64(n: f64) -> Option<u64> {
+    (n >= 0.0 && n.fract() == 0.0 && n <= 2f64.powi(53)).then_some(n as u64)
+}
+
 impl JsonValue {
     /// Parse a complete JSON document (trailing whitespace allowed,
     /// trailing garbage rejected).
     pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
+        let mut r = Reader::new(text);
+        // Open containers, each with the key it will be stored under in
+        // its parent (`None` inside arrays and for the root).
+        let mut open: Vec<(Option<String>, JsonValue)> = Vec::new();
+        let mut key: Option<String> = None;
+        let root = loop {
+            let value = match r.next()? {
+                Some(Token::BeginObject) => {
+                    open.push((key.take(), JsonValue::Obj(Vec::new())));
+                    continue;
+                }
+                Some(Token::BeginArray) => {
+                    open.push((key.take(), JsonValue::Arr(Vec::new())));
+                    continue;
+                }
+                Some(Token::Key(k)) => {
+                    key = Some(k.to_owned());
+                    continue;
+                }
+                Some(Token::EndObject | Token::EndArray) => {
+                    let (k, v) = open.pop().expect("the reader balances containers");
+                    key = k;
+                    v
+                }
+                Some(Token::Str(s)) => JsonValue::Str(s.to_owned()),
+                Some(Token::Num(n)) => JsonValue::Num(n),
+                Some(Token::Bool(b)) => JsonValue::Bool(b),
+                Some(Token::Null) => JsonValue::Null,
+                None => unreachable!("the reader ends only after the root value"),
+            };
+            match open.last_mut() {
+                None => break value,
+                Some((_, JsonValue::Obj(fields))) => {
+                    let k = key
+                        .take()
+                        .expect("the reader yields a key before each member");
+                    fields.push((k, value));
+                }
+                Some((_, JsonValue::Arr(items))) => items.push(value),
+                Some(_) => unreachable!("only containers are opened"),
+            }
         };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after document"));
-        }
-        Ok(v)
+        r.end()?;
+        Ok(root)
     }
 
     /// Object field lookup.
@@ -91,12 +144,7 @@ impl JsonValue {
 
     /// Integral number view (exact for |n| ≤ 2^53).
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
+        self.as_f64().and_then(exact_u64)
     }
 
     /// Array view.
@@ -182,12 +230,81 @@ fn write_json_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// One token of a JSON document, in document order. Strings and keys are
+/// unescaped and borrow from the reader until its next call.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Token<'r> {
+    /// `{`
+    BeginObject,
+    /// An object member's key; the member's value follows.
+    Key(&'r str),
+    /// `}`
+    EndObject,
+    /// `[`
+    BeginArray,
+    /// `]`
+    EndArray,
+    /// A string value.
+    Str(&'r str),
+    /// A number.
+    Num(f64),
+    /// `true` / `false`
+    Bool(bool),
+    /// `null`
+    Null,
 }
 
-impl<'a> Parser<'a> {
+/// What the reader accepts next.
+#[derive(Debug, Clone, Copy)]
+enum Expect {
+    /// A value: the root, a member's value, or an array item after `,`.
+    Value,
+    /// The first key of an object, or its `}`.
+    FirstKey,
+    /// The first item of an array, or its `]`.
+    FirstItem,
+    /// A `,` or the closing bracket of the innermost container, or the
+    /// end of the document.
+    AfterValue,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Frame {
+    /// An open object whose keys start at this index of `key_ends`.
+    Object {
+        first_key: usize,
+    },
+    Array,
+}
+
+/// A pull reader over one JSON document (see the module docs).
+pub(crate) struct Reader<'a> {
+    text: &'a str,
+    pos: usize,
+    expect: Expect,
+    frames: Vec<Frame>,
+    /// The unescaped keys of every open object, back to back.
+    keys: String,
+    /// End offset in `keys` of each of those keys.
+    key_ends: Vec<usize>,
+    /// The unescaped text of the last string value that had escapes.
+    scratch: String,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader positioned before the document's root value.
+    pub(crate) fn new(text: &'a str) -> Reader<'a> {
+        Reader {
+            text,
+            pos: 0,
+            expect: Expect::Value,
+            frames: Vec::new(),
+            keys: String::new(),
+            key_ends: Vec::new(),
+            scratch: String::new(),
+        }
+    }
+
     fn err(&self, msg: impl Into<String>) -> JsonError {
         JsonError {
             at: self.pos,
@@ -196,7 +313,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -205,174 +322,270 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(format!("expected '{}'", b as char)))
+    /// The next token, or `None` once the root value is complete and only
+    /// whitespace follows it.
+    pub(crate) fn next(&mut self) -> Result<Option<Token<'_>>, JsonError> {
+        self.skip_ws();
+        match self.expect {
+            Expect::Value => self.value().map(Some),
+            Expect::FirstKey if self.peek() == Some(b'}') => Ok(Some(self.close())),
+            Expect::FirstKey => self.key().map(Some),
+            Expect::FirstItem if self.peek() == Some(b']') => Ok(Some(self.close())),
+            Expect::FirstItem => self.value().map(Some),
+            Expect::AfterValue => match (self.frames.last(), self.peek()) {
+                (None, None) => Ok(None),
+                (None, Some(_)) => Err(self.err("trailing characters after document")),
+                (Some(Frame::Object { .. }), Some(b',')) => {
+                    self.pos += 1;
+                    self.skip_ws();
+                    self.key().map(Some)
+                }
+                (Some(Frame::Object { .. }), Some(b'}')) => Ok(Some(self.close())),
+                (Some(Frame::Object { .. }), _) => Err(self.err("expected ',' or '}' in object")),
+                (Some(Frame::Array), Some(b',')) => {
+                    self.pos += 1;
+                    self.skip_ws();
+                    self.value().map(Some)
+                }
+                (Some(Frame::Array), Some(b']')) => Ok(Some(self.close())),
+                (Some(Frame::Array), _) => Err(self.err("expected ',' or ']' in array")),
+            },
         }
     }
 
-    fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+    /// Check that the document ends here; call once the root is complete.
+    pub(crate) fn end(&mut self) -> Result<(), JsonError> {
+        match self.next()? {
+            None => Ok(()),
+            Some(_) => unreachable!("end() is called only after the root value"),
+        }
+    }
+
+    /// Read the rest of the container whose opening token was just read.
+    pub(crate) fn skip_container(&mut self) -> Result<(), JsonError> {
+        let depth = self.frames.len();
+        loop {
+            self.next()?;
+            if self.frames.len() < depth {
+                return Ok(());
+            }
+        }
+    }
+
+    /// Read the next value's first token. If it is `open` (`BeginObject` or
+    /// `BeginArray`), leave that container open to be read and return
+    /// true; otherwise read the whole value and return false.
+    pub(crate) fn enter(&mut self, open: Token<'static>) -> Result<bool, JsonError> {
+        let tok = self.next()?.expect("a value is due");
+        if tok == open {
+            return Ok(true);
+        }
+        if matches!(tok, Token::BeginObject | Token::BeginArray) {
+            self.skip_container()?;
+        }
+        Ok(false)
+    }
+
+    /// Read one whole value, handing its first token to `f`.
+    pub(crate) fn value_with<T>(&mut self, f: impl FnOnce(Token<'_>) -> T) -> Result<T, JsonError> {
+        let tok = self.next()?.expect("a value is due");
+        let opens = matches!(tok, Token::BeginObject | Token::BeginArray);
+        let out = f(tok);
+        if opens {
+            self.skip_container()?;
+        }
+        Ok(out)
+    }
+
+    fn open(&mut self, frame: Frame, expect: Expect) -> Result<(), JsonError> {
+        if self.frames.len() == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.pos += 1;
+        self.frames.push(frame);
+        self.expect = expect;
+        Ok(())
+    }
+
+    fn close(&mut self) -> Token<'static> {
+        self.pos += 1;
+        self.expect = Expect::AfterValue;
+        match self.frames.pop().expect("a container is open") {
+            Frame::Object { first_key } => {
+                let keys_len = first_key.checked_sub(1).map_or(0, |i| self.key_ends[i]);
+                self.keys.truncate(keys_len);
+                self.key_ends.truncate(first_key);
+                Token::EndObject
+            }
+            Frame::Array => Token::EndArray,
+        }
+    }
+
+    /// Read a member's key and its `:`, rejecting a key the innermost
+    /// object already has.
+    fn key(&mut self) -> Result<Token<'_>, JsonError> {
+        let Some(&Frame::Object { first_key }) = self.frames.last() else {
+            unreachable!("keys are read inside objects only");
+        };
+        if self.peek() != Some(b'"') {
+            return Err(self.err("expected '\"'"));
+        }
+        let start = self.keys.len();
+        if let Some(run) = scan_string(self.text, &mut self.pos, &mut self.keys)? {
+            self.keys.push_str(&self.text[run]);
+        }
+        let key = &self.keys[start..];
+        let mut from = first_key.checked_sub(1).map_or(0, |i| self.key_ends[i]);
+        for &to in &self.key_ends[first_key..] {
+            if &self.keys[from..to] == key {
+                return Err(self.err(format!("duplicate object key `{key}`")));
+            }
+            from = to;
+        }
+        self.key_ends.push(self.keys.len());
+        self.skip_ws();
+        if self.peek() != Some(b':') {
+            return Err(self.err("expected ':'"));
+        }
+        self.pos += 1;
+        self.expect = Expect::Value;
+        Ok(Token::Key(&self.keys[start..]))
+    }
+
+    fn value(&mut self) -> Result<Token<'_>, JsonError> {
+        let tok = match self.peek() {
+            Some(b'{') => {
+                let first_key = self.key_ends.len();
+                self.open(Frame::Object { first_key }, Expect::FirstKey)?;
+                return Ok(Token::BeginObject);
+            }
+            Some(b'[') => {
+                self.open(Frame::Array, Expect::FirstItem)?;
+                return Ok(Token::BeginArray);
+            }
+            Some(b'"') => {
+                self.expect = Expect::AfterValue;
+                self.scratch.clear();
+                return Ok(
+                    match scan_string(self.text, &mut self.pos, &mut self.scratch)? {
+                        Some(run) => Token::Str(&self.text[run]),
+                        None => Token::Str(&self.scratch),
+                    },
+                );
+            }
+            Some(b't') => self.literal("true", Token::Bool(true))?,
+            Some(b'f') => self.literal("false", Token::Bool(false))?,
+            Some(b'n') => self.literal("null", Token::Null)?,
+            Some(c) if c == b'-' || c.is_ascii_digit() => Token::Num(self.number()?),
+            Some(c) => return Err(self.err(format!("unexpected character '{}'", c as char))),
+            None => return Err(self.err("unexpected end of input")),
+        };
+        self.expect = Expect::AfterValue;
+        Ok(tok)
+    }
+
+    fn literal(&mut self, word: &str, tok: Token<'static>) -> Result<Token<'static>, JsonError> {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(value)
+            Ok(tok)
         } else {
             Err(self.err(format!("expected `{word}`")))
         }
     }
 
-    fn value(&mut self) -> Result<JsonValue, JsonError> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            Some(c) => Err(self.err(format!("unexpected character '{}'", c as char))),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn object(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            if fields.iter().any(|(k, _)| *k == key) {
-                return Err(self.err(format!("duplicate object key `{key}`")));
-            }
-            fields.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("dangling escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
-                                return Err(self.err("truncated \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                .map_err(|_| self.err("non-UTF8 \\u escape"))?;
-                            let cp = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not needed by our exporters;
-                            // lone surrogates map to the replacement char.
-                            out.push(char::from_u32(cp).unwrap_or('\u{FFFD}'));
-                        }
-                        c => return Err(self.err(format!("bad escape '\\{}'", c as char))),
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte sequences pass
-                    // through unmodified).
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.pos < self.bytes.len() && (self.bytes[self.pos] & 0xC0) == 0x80 {
-                        self.pos += 1;
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    out.push_str(s);
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<JsonValue, JsonError> {
+    fn number(&mut self) -> Result<f64, JsonError> {
         let start = self.pos;
+        let digits = |r: &mut Self| {
+            while matches!(r.peek(), Some(c) if c.is_ascii_digit()) {
+                r.pos += 1;
+            }
+        };
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
-        }
+        digits(self);
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            digits(self);
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            digits(self);
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        // Every byte scanned is ASCII, so the range is on char boundaries.
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
-            .map(JsonValue::Num)
             .map_err(|_| self.err(format!("bad number `{text}`")))
+    }
+}
+
+/// Scan the string whose opening quote is at `*pos`, leaving `*pos` just
+/// past its closing quote. A string without escapes is returned as its
+/// range in `text` and nothing is written; a string with escapes has its
+/// unescaped text appended to `out`, and `None` is returned.
+///
+/// The text between escapes is copied a run at a time: a run ends at the
+/// next `"` or `\`, both ASCII, so every run is a `str` slice.
+fn scan_string(
+    text: &str,
+    pos: &mut usize,
+    out: &mut String,
+) -> Result<Option<Range<usize>>, JsonError> {
+    let bytes = text.as_bytes();
+    let err = |at: usize, msg: String| Err(JsonError { at, msg });
+    *pos += 1;
+    let mut escaped = false;
+    loop {
+        let run = *pos;
+        let Some(len) = bytes[run..].iter().position(|&b| b == b'"' || b == b'\\') else {
+            *pos = bytes.len();
+            return err(*pos, "unterminated string".into());
+        };
+        *pos = run + len + 1;
+        if bytes[run + len] == b'"' {
+            if !escaped {
+                return Ok(Some(run..run + len));
+            }
+            out.push_str(&text[run..run + len]);
+            return Ok(None);
+        }
+        escaped = true;
+        out.push_str(&text[run..run + len]);
+        let Some(&esc) = bytes.get(*pos) else {
+            return err(*pos, "dangling escape".into());
+        };
+        *pos += 1;
+        match esc {
+            b'"' => out.push('"'),
+            b'\\' => out.push('\\'),
+            b'/' => out.push('/'),
+            b'b' => out.push('\u{8}'),
+            b'f' => out.push('\u{c}'),
+            b'n' => out.push('\n'),
+            b'r' => out.push('\r'),
+            b't' => out.push('\t'),
+            b'u' => {
+                let Some(hex) = bytes.get(*pos..*pos + 4) else {
+                    return err(*pos, "truncated \\u escape".into());
+                };
+                let Ok(hex) = std::str::from_utf8(hex) else {
+                    return err(*pos, "non-UTF8 \\u escape".into());
+                };
+                let Ok(cp) = u32::from_str_radix(hex, 16) else {
+                    return err(*pos, "bad \\u escape".into());
+                };
+                // The four bytes parsed as hex, so they were ASCII and the
+                // next run starts on a char boundary.
+                *pos += 4;
+                // Surrogate pairs are not needed by our exporters; lone
+                // surrogates map to the replacement char.
+                out.push(char::from_u32(cp).unwrap_or('\u{FFFD}'));
+            }
+            c => return err(*pos, format!("bad escape '\\{}'", c as char)),
+        }
     }
 }
 
@@ -508,5 +721,48 @@ mod tests {
         }
         let dup = JsonValue::parse(r#"{"k": 1, "k": 2}"#).unwrap_err();
         assert!(dup.msg.contains("duplicate"), "{dup}");
+    }
+
+    #[test]
+    fn duplicate_keys_compare_unescaped_and_per_object() {
+        // `\u0069d` is `id`: the same key spelled two ways.
+        assert!(JsonValue::parse(r#"{"id": 1, "\u0069d": 2}"#).is_err());
+        // Equal keys in sibling and nested objects are fine, and each
+        // object's keys leave the stack when it closes.
+        let ok = r#"{"a": {"a": {"b": 1}, "b": 2}, "b": [{"a": 1}, {"a": 2}], "c": {}}"#;
+        assert_round_trips(ok);
+        assert!(JsonValue::parse(r#"{"a": {"b": 1}, "b": 2, "a": 3}"#).is_err());
+    }
+
+    #[test]
+    fn reader_borrows_plain_strings_and_unescapes_the_rest() {
+        let text = r#"["plain", "t\u00e9l\u00e9 \"x\"", {"k\n": "v"}]"#;
+        let mut r = Reader::new(text);
+        let mut seen = Vec::new();
+        while let Some(tok) = r.next().unwrap() {
+            if let Token::Str(s) | Token::Key(s) = tok {
+                // A borrowed string points into the input.
+                let borrowed = text.as_bytes().as_ptr_range().contains(&s.as_ptr());
+                seen.push((s.to_owned(), borrowed));
+            }
+        }
+        let want = [
+            ("plain", true),
+            ("télé \"x\"", false),
+            ("k\n", false),
+            ("v", true),
+        ];
+        let want: Vec<(String, bool)> = want.iter().map(|&(s, b)| (s.to_owned(), b)).collect();
+        assert_eq!(seen, want);
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(JsonValue::parse(&deep(MAX_DEPTH)).is_ok());
+        let err = JsonValue::parse(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.msg.contains("nesting"), "{err}");
+        // Far deeper than any stack could recurse: still a typed error.
+        assert!(JsonValue::parse(&"[".repeat(1 << 20)).is_err());
     }
 }

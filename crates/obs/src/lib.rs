@@ -27,9 +27,10 @@
 //! * [`analyze`] — trace analysis: critical-path blame attribution, policy
 //!   trace diffs, per-core activity timelines and tail forensics, computed
 //!   from a live recorder or from exported trace JSON.
-//! * [`json`] — a minimal JSON reader/writer used by the analyzer and by
-//!   tests to validate exported traces and snapshots structurally (no
-//!   external JSON dependency).
+//! * [`json`] — the crate's one JSON grammar (no external dependency): a
+//!   pull reader that the trace validator streams through and that
+//!   [`json::JsonValue::parse`] builds document trees on, plus a canonical
+//!   serializer.
 //! * [`progress`] — host-side progress reporting for long parallel sweeps.
 //! * [`detect`] — streaming detectors over the telemetry plane's closed
 //!   windows: queue saturation, steering livelock (degrade/re-promote

@@ -9,10 +9,17 @@
 //! machine-readably even where the viewer renders the spans on different
 //! tracks (the interrupt runs on the handler core, the copy on the
 //! consumer core — that separation *is* the finding).
+//!
+//! Export and [`validate`] run after every observed run, so both cost
+//! O(bytes) with no allocation per event: the exporter formats every
+//! event straight into one pre-sized `String`, and the validator streams
+//! the events through the pull reader in [`crate::json`], keeping per
+//! event only the fields it checks.
 
-use crate::json::JsonValue;
+use crate::json::{exact_u64, JsonError, Reader, Token};
 use crate::span::{FlightRecorder, SpanId};
 use sais_sim::SimTime;
+use std::fmt::Write;
 use std::path::Path;
 
 /// Microseconds-as-f64 for a sim instant (Chrome's `ts` unit).
@@ -20,30 +27,40 @@ fn ts_us(t: SimTime) -> f64 {
     t.as_nanos() as f64 / 1000.0
 }
 
-fn fmt_f64(v: f64) -> String {
-    format!("{v:?}")
-}
+/// Bytes reserved per event: a little above a traced run's mean, so the
+/// output buffer is allocated once.
+const EVENT_BYTES: usize = 192;
 
 /// Serialize the recorder into Chrome/Perfetto trace JSON.
 pub fn to_chrome_json(rec: &FlightRecorder) -> String {
-    let mut events: Vec<String> = Vec::with_capacity(rec.spans().len() + rec.instants().len() + 8);
     let mut pids: Vec<u32> = Vec::new();
     for s in rec.spans() {
         if !pids.contains(&s.pid) {
             pids.push(s.pid);
         }
     }
+    let events = pids.len() + rec.track_names().len() + rec.spans().len() + rec.instants().len();
+    let mut out = String::with_capacity(64 + EVENT_BYTES * events);
+    out.push_str("{\n\"traceEvents\": [\n");
+    // Events are separated by ",\n"; the last one ends with "\n".
+    let mut sep = "";
+    // Writing into a `String` cannot fail, so the `fmt::Result`s below
+    // are discarded.
     for pid in &pids {
-        events.push(format!(
-            "{{\"ph\": \"M\", \"pid\": {pid}, \"name\": \"process_name\", \
+        let _ = write!(
+            out,
+            "{sep}{{\"ph\": \"M\", \"pid\": {pid}, \"name\": \"process_name\", \
              \"args\": {{\"name\": \"client {pid}\"}}}}"
-        ));
+        );
+        sep = ",\n";
     }
     for (pid, tid, name) in rec.track_names() {
-        events.push(format!(
-            "{{\"ph\": \"M\", \"pid\": {pid}, \"tid\": {tid}, \"name\": \"thread_name\", \
+        let _ = write!(
+            out,
+            "{sep}{{\"ph\": \"M\", \"pid\": {pid}, \"tid\": {tid}, \"name\": \"thread_name\", \
              \"args\": {{\"name\": \"{name}\"}}}}"
-        ));
+        );
+        sep = ",\n";
     }
     for (i, s) in rec.spans().iter().enumerate() {
         let end = if s.end == SimTime::MAX {
@@ -51,43 +68,42 @@ pub fn to_chrome_json(rec: &FlightRecorder) -> String {
         } else {
             s.end
         };
-        let mut args = format!("\"id\": {i}, \"parent\": ");
-        if s.parent == SpanId::NONE {
-            args.push_str("-1");
-        } else {
-            args.push_str(&s.parent.0.to_string());
-        }
-        for (k, v) in s.args.iter().filter(|(k, _)| !k.is_empty()) {
-            args.push_str(&format!(", \"{k}\": {v}"));
-        }
-        events.push(format!(
-            "{{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"X\", \"ts\": {}, \"dur\": {}, \
-             \"pid\": {}, \"tid\": {}, \"args\": {{{args}}}}}",
+        let _ = write!(
+            out,
+            "{sep}{{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"X\", \"ts\": {:?}, \
+             \"dur\": {:?}, \"pid\": {}, \"tid\": {}, \"args\": {{\"id\": {i}, \"parent\": ",
             s.name,
             s.cat,
-            fmt_f64(ts_us(s.start)),
-            fmt_f64(ts_us(end) - ts_us(s.start)),
+            ts_us(s.start),
+            ts_us(end) - ts_us(s.start),
             s.pid,
             s.tid,
-        ));
+        );
+        if s.parent == SpanId::NONE {
+            out.push_str("-1");
+        } else {
+            let _ = write!(out, "{}", s.parent.0);
+        }
+        for (k, v) in s.args.iter().filter(|(k, _)| !k.is_empty()) {
+            let _ = write!(out, ", \"{k}\": {v}");
+        }
+        out.push_str("}}");
+        sep = ",\n";
     }
     for ev in rec.instants() {
-        events.push(format!(
-            "{{\"name\": \"{}\", \"ph\": \"i\", \"ts\": {}, \"pid\": {}, \"tid\": {}, \
+        let _ = write!(
+            out,
+            "{sep}{{\"name\": \"{}\", \"ph\": \"i\", \"ts\": {:?}, \"pid\": {}, \"tid\": {}, \
              \"s\": \"t\", \"args\": {{\"value\": {}}}}}",
             ev.name,
-            fmt_f64(ts_us(ev.time)),
+            ts_us(ev.time),
             ev.pid,
             ev.tid,
             ev.value,
-        ));
+        );
+        sep = ",\n";
     }
-    let mut out = String::from("{\n\"traceEvents\": [\n");
-    for (i, e) in events.iter().enumerate() {
-        out.push_str(e);
-        if i + 1 < events.len() {
-            out.push(',');
-        }
+    if events > 0 {
         out.push('\n');
     }
     out.push_str("],\n\"displayTimeUnit\": \"ns\"\n}\n");
@@ -112,67 +128,190 @@ pub struct TraceStats {
     pub child_spans: usize,
 }
 
+/// An event's `ph`.
+#[derive(Debug, Clone, Default, PartialEq)]
+enum Phase {
+    /// Absent, or not a string.
+    #[default]
+    Missing,
+    Span,
+    Instant,
+    Metadata,
+    Other(Box<str>),
+}
+
+/// What [`validate`] checks of one `traceEvents` entry. An entry that is
+/// not an object reads as one with no fields.
+#[derive(Debug, Default)]
+struct EventRecord {
+    ph: Phase,
+    /// Whether `name` is a string.
+    name: bool,
+    /// Whether `cat` is a string.
+    cat: bool,
+    pid: Option<u64>,
+    tid: Option<u64>,
+    ts: Option<f64>,
+    dur: Option<f64>,
+    /// `args.id`.
+    id: Option<u64>,
+    /// `args.parent`.
+    parent: Option<f64>,
+}
+
 /// Validate that `text` is well-formed Chrome trace JSON as this exporter
 /// writes it: a `traceEvents` array whose `"X"` events carry `name`, `ts`,
-/// `dur`, `pid`, `tid` and an `args.id`, and whose `args.parent` ids (when
-/// not -1) refer to an `"X"` event that exists and whose interval contains
-/// the child's. Returns counting statistics on success.
+/// `dur`, `pid`, `tid` and an `args.id` that is unique and below the
+/// number of events, and whose `args.parent` ids (when not -1) refer to an
+/// `"X"` event that exists and whose interval contains the child's.
+/// Returns counting statistics on success.
+///
+/// The whole document is read before any event is checked, so a syntax
+/// error anywhere wins over a semantic one.
 pub fn validate(text: &str) -> Result<TraceStats, String> {
-    let doc = JsonValue::parse(text).map_err(|e| e.to_string())?;
-    let events = doc
-        .get("traceEvents")
-        .and_then(JsonValue::as_array)
+    let events = read_events(text)
+        .map_err(|e| e.to_string())?
         .ok_or("missing traceEvents array")?;
-    let mut stats = TraceStats::default();
-    // First pass: collect span intervals by id.
-    let mut intervals: Vec<Option<(f64, f64)>> = Vec::new();
-    for ev in events {
-        if ev.get("ph").and_then(JsonValue::as_str) == Some("X") {
-            let id = ev
-                .get("args")
-                .and_then(|a| a.get("id"))
-                .and_then(JsonValue::as_u64)
-                .ok_or("X event without args.id")? as usize;
-            let ts = ev
-                .get("ts")
-                .and_then(JsonValue::as_f64)
-                .ok_or("X event without ts")?;
-            let dur = ev
-                .get("dur")
-                .and_then(JsonValue::as_f64)
-                .ok_or("X event without dur")?;
-            if intervals.len() <= id {
-                intervals.resize(id + 1, None);
+    check_events(&events)
+}
+
+/// Read the document, keeping an [`EventRecord`] per `traceEvents` entry;
+/// `None` if the root is not an object with a `traceEvents` array.
+fn read_events(text: &str) -> Result<Option<Vec<EventRecord>>, JsonError> {
+    let mut r = Reader::new(text);
+    let mut events = None;
+    if r.enter(Token::BeginObject)? {
+        while let Some(Token::Key(key)) = r.next()? {
+            if key == "traceEvents" {
+                events = read_event_array(&mut r)?;
+            } else {
+                r.value_with(|_| ())?;
             }
-            intervals[id] = Some((ts, ts + dur));
         }
     }
+    r.end()?;
+    Ok(events)
+}
+
+/// Read the `traceEvents` value: its records if it is an array.
+fn read_event_array(r: &mut Reader<'_>) -> Result<Option<Vec<EventRecord>>, JsonError> {
+    if !r.enter(Token::BeginArray)? {
+        return Ok(None);
+    }
+    let mut events = Vec::new();
+    loop {
+        let ev = match r.next()? {
+            Some(Token::EndArray) => return Ok(Some(events)),
+            Some(Token::BeginObject) => read_event(r)?,
+            Some(Token::BeginArray) => {
+                r.skip_container()?;
+                EventRecord::default()
+            }
+            _ => EventRecord::default(),
+        };
+        events.push(ev);
+    }
+}
+
+fn num(tok: Token<'_>) -> Option<f64> {
+    match tok {
+        Token::Num(n) => Some(n),
+        _ => None,
+    }
+}
+
+fn exact_num(tok: Token<'_>) -> Option<u64> {
+    num(tok).and_then(exact_u64)
+}
+
+fn is_str(tok: Token<'_>) -> bool {
+    matches!(tok, Token::Str(_))
+}
+
+/// Read the members of an event object whose `{` was just read.
+fn read_event(r: &mut Reader<'_>) -> Result<EventRecord, JsonError> {
+    let mut ev = EventRecord::default();
+    while let Some(Token::Key(key)) = r.next()? {
+        match key {
+            "ph" => {
+                ev.ph = r.value_with(|tok| match tok {
+                    Token::Str("X") => Phase::Span,
+                    Token::Str("i") => Phase::Instant,
+                    Token::Str("M") => Phase::Metadata,
+                    Token::Str(other) => Phase::Other(other.into()),
+                    _ => Phase::Missing,
+                })?
+            }
+            "name" => ev.name = r.value_with(is_str)?,
+            "cat" => ev.cat = r.value_with(is_str)?,
+            "pid" => ev.pid = r.value_with(exact_num)?,
+            "tid" => ev.tid = r.value_with(exact_num)?,
+            "ts" => ev.ts = r.value_with(num)?,
+            "dur" => ev.dur = r.value_with(num)?,
+            "args" => {
+                if r.enter(Token::BeginObject)? {
+                    while let Some(Token::Key(key)) = r.next()? {
+                        match key {
+                            "id" => ev.id = r.value_with(exact_num)?,
+                            "parent" => ev.parent = r.value_with(num)?,
+                            _ => r.value_with(|_| ())?,
+                        }
+                    }
+                }
+            }
+            _ => r.value_with(|_| ())?,
+        }
+    }
+    Ok(ev)
+}
+
+/// The slot of span `id` among `slots` (one per trace event), checked to
+/// be in range and still empty: an id from the input must neither size
+/// an allocation nor silently replace another span.
+pub(crate) fn span_slot<T>(slots: &mut [Option<T>], id: u64) -> Result<&mut Option<T>, String> {
+    let events = slots.len();
+    let slot = usize::try_from(id)
+        .ok()
+        .and_then(|i| slots.get_mut(i))
+        .ok_or_else(|| format!("span id {id} out of range for {events} trace events"))?;
+    if slot.is_some() {
+        return Err(format!("duplicate span id {id}"));
+    }
+    Ok(slot)
+}
+
+/// The semantic checks of [`validate`], over a fully read document.
+fn check_events(events: &[EventRecord]) -> Result<TraceStats, String> {
+    // First pass: collect span intervals by id.
+    let mut intervals: Vec<Option<(f64, f64)>> = vec![None; events.len()];
+    for ev in events.iter().filter(|ev| ev.ph == Phase::Span) {
+        let id = ev.id.ok_or("X event without args.id")?;
+        let ts = ev.ts.ok_or("X event without ts")?;
+        let dur = ev.dur.ok_or("X event without dur")?;
+        *span_slot(&mut intervals, id)? = Some((ts, ts + dur));
+    }
+    let mut stats = TraceStats::default();
     for ev in events {
-        let ph = ev
-            .get("ph")
-            .and_then(JsonValue::as_str)
-            .ok_or("event without ph")?;
-        match ph {
-            "M" => stats.metadata += 1,
-            "i" => stats.instants += 1,
-            "X" => {
+        match &ev.ph {
+            Phase::Missing => return Err("event without ph".into()),
+            Phase::Metadata => stats.metadata += 1,
+            Phase::Instant => stats.instants += 1,
+            Phase::Other(other) => return Err(format!("unexpected ph {other:?}")),
+            Phase::Span => {
                 stats.spans += 1;
-                for field in ["name", "cat"] {
-                    if ev.get(field).and_then(JsonValue::as_str).is_none() {
+                for (field, ok) in [
+                    ("name", ev.name),
+                    ("cat", ev.cat),
+                    ("pid", ev.pid.is_some()),
+                    ("tid", ev.tid.is_some()),
+                ] {
+                    if !ok {
                         return Err(format!("X event without {field}"));
                     }
                 }
-                for field in ["pid", "tid"] {
-                    if ev.get(field).and_then(JsonValue::as_u64).is_none() {
-                        return Err(format!("X event without {field}"));
-                    }
-                }
-                let args = ev.get("args").ok_or("X event without args")?;
-                let id = args.get("id").and_then(JsonValue::as_u64).unwrap() as usize;
-                let parent = args
-                    .get("parent")
-                    .and_then(JsonValue::as_f64)
-                    .ok_or("X event without args.parent")?;
+                // The first pass checked the id and filled its slot.
+                let id = ev.id.expect("span ids are checked first") as usize;
+                let parent = ev.parent.ok_or("X event without args.parent")?;
                 if parent >= 0.0 {
                     stats.child_spans += 1;
                     let pid = parent as usize;
@@ -191,15 +330,18 @@ pub fn validate(text: &str) -> Result<TraceStats, String> {
                     }
                 }
             }
-            other => return Err(format!("unexpected ph {other:?}")),
         }
     }
     Ok(stats)
 }
 
 #[cfg(test)]
+mod props;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::JsonValue;
     use crate::span::FlightRecorder;
     use sais_sim::SimTime;
 
@@ -219,6 +361,75 @@ mod tests {
         r.end(req, t(50));
         r.instant(t(50), "request_done", 0, 100, 1);
         r
+    }
+
+    /// The exporter's exact bytes: any drift in formatting, separators or
+    /// float rendering fails here.
+    #[test]
+    fn export_bytes_are_pinned() {
+        let golden = r#"{
+"traceEvents": [
+{"ph": "M", "pid": 0, "name": "process_name", "args": {"name": "client 0"}},
+{"ph": "M", "pid": 0, "tid": 100, "name": "thread_name", "args": {"name": "proc 0 requests"}},
+{"ph": "M", "pid": 0, "tid": 3, "name": "thread_name", "args": {"name": "core 3"}},
+{"name": "read", "cat": "request", "ph": "X", "ts": 10.0, "dur": 40.0, "pid": 0, "tid": 100, "args": {"id": 0, "parent": -1}},
+{"name": "strip", "cat": "strip", "ph": "X", "ts": 10.0, "dur": 30.0, "pid": 0, "tid": 100, "args": {"id": 1, "parent": 0, "bytes": 65536}},
+{"name": "irq", "cat": "interrupt", "ph": "X", "ts": 20.0, "dur": 5.0, "pid": 0, "tid": 3, "args": {"id": 2, "parent": 1}},
+{"name": "copy", "cat": "consume", "ph": "X", "ts": 30.0, "dur": 10.0, "pid": 0, "tid": 3, "args": {"id": 3, "parent": 1}},
+{"name": "request_done", "ph": "i", "ts": 50.0, "pid": 0, "tid": 100, "s": "t", "args": {"value": 1}}
+],
+"displayTimeUnit": "ns"
+}
+"#;
+        assert_eq!(to_chrome_json(&demo_recorder()), golden);
+        assert_eq!(
+            to_chrome_json(&FlightRecorder::disabled()),
+            "{\n\"traceEvents\": [\n],\n\"displayTimeUnit\": \"ns\"\n}\n"
+        );
+    }
+
+    fn one_span(id: &str) -> String {
+        format!(
+            r#"{{"traceEvents": [{{"name": "a", "cat": "c", "ph": "X", "ts": 0.0, "dur": 1.0, "pid": 0, "tid": 0, "args": {{"id": {id}, "parent": -1}}}}]}}"#
+        )
+    }
+
+    /// A span id from the input is bounded by the event count before it
+    /// indexes anything: 2^53 once made the validator ask for a 216 PB
+    /// allocation and abort.
+    #[test]
+    fn validate_rejects_out_of_range_span_ids() {
+        let err = validate(&one_span("9007199254740992")).unwrap_err();
+        assert!(err.contains("out of range"), "{err}");
+        assert!(validate(&one_span("1"))
+            .unwrap_err()
+            .contains("out of range"));
+        assert_eq!(validate(&one_span("0")).unwrap().spans, 1);
+    }
+
+    #[test]
+    fn validate_rejects_duplicate_span_ids() {
+        let dup = r#"{"traceEvents": [
+            {"name": "a", "cat": "c", "ph": "X", "ts": 0.0, "dur": 1.0, "pid": 0, "tid": 0, "args": {"id": 0, "parent": -1}},
+            {"name": "b", "cat": "c", "ph": "X", "ts": 0.0, "dur": 1.0, "pid": 0, "tid": 0, "args": {"id": 0, "parent": -1}}
+        ]}"#;
+        assert_eq!(validate(dup).unwrap_err(), "duplicate span id 0");
+    }
+
+    #[test]
+    fn validate_reports_syntax_before_semantics() {
+        // The first event is semantically bad, the document ends early.
+        let bad = r#"{"traceEvents": [{"ph": "Q"}, {"ph": "M"}"#;
+        assert!(validate(bad).unwrap_err().starts_with("JSON error"));
+        assert_eq!(
+            validate(r#"{"traceEvents": [{"ph": "Q"}, {"ph": "M"}]}"#).unwrap_err(),
+            r#"unexpected ph "Q""#
+        );
+        assert_eq!(
+            validate(r#"{"traceEvents": {}}"#).unwrap_err(),
+            "missing traceEvents array"
+        );
+        assert_eq!(validate("[]").unwrap_err(), "missing traceEvents array");
     }
 
     #[test]
