@@ -10,12 +10,6 @@
 //!   horizon  — 10% of pushes land past the wheel horizon and must take
 //!              the overflow-heap + cascade path
 //!
-//! A second section isolates the *drain* side of the engine's batched
-//! dispatch: popping a tie storm one event at a time (`pop`, the
-//! pre-batching engine loop) versus one `pop_run` per timestamp (the
-//! `Model::handle_batch` feed). Same events, same order — the delta is
-//! pure cursor/bookkeeping overhead amortized across a burst.
-//!
 //! Deltas come from a fixed-seed LCG so both queues see the identical
 //! sequence and reruns are comparable.
 
@@ -69,49 +63,6 @@ macro_rules! bench {
     }};
 }
 
-/// Fill a queue with `total` events in tie runs of `run` (each run shares
-/// one timestamp, runs spaced a fixed stride apart), then drain it either
-/// one `pop` at a time or one `pop_run` per timestamp. Returns
-/// (ns/event, xor-sink) so both drain styles can be checked against each
-/// other — identical events in identical order must produce an identical
-/// sink.
-macro_rules! bench_drain {
-    ($name:expr, $queue:expr, $run:expr, $batched:expr) => {{
-        let mut q = $queue;
-        let total = 400_000u64;
-        let run = $run as u64;
-        for i in 0..total {
-            let t = (i / run) * 1000;
-            q.push(SimTime(t), i);
-        }
-        let t0 = Instant::now();
-        let mut sink = 0u64;
-        let mut popped = 0u64;
-        if $batched {
-            let mut buf: Vec<u64> = Vec::new();
-            while let Some(_t) = q.pop_run(u64::MAX, &mut buf) {
-                for e in buf.drain(..) {
-                    sink = sink.wrapping_mul(0x100000001B3).wrapping_add(e);
-                    popped += 1;
-                }
-            }
-        } else {
-            while let Some((_t, e)) = q.pop() {
-                sink = sink.wrapping_mul(0x100000001B3).wrapping_add(e);
-                popped += 1;
-            }
-        }
-        let dt = t0.elapsed().as_secs_f64();
-        assert_eq!(popped, total, "drain must empty the queue");
-        println!(
-            "{:20} {:>7.1} ns/event  (sink {sink:x})",
-            $name,
-            dt * 1e9 / total as f64
-        );
-        sink
-    }};
-}
-
 fn main() {
     // steady: deltas in [0, 64k) ns — well inside the ~1ms wheel horizon.
     let steady = |r: &mut Lcg| r.next() & 0xFFFF;
@@ -145,22 +96,4 @@ fn main() {
     bench!("steady", HeapQueue::<u64>::new(), steady);
     bench!("tiestorm", HeapQueue::<u64>::new(), tie);
     bench!("horizon", HeapQueue::<u64>::new(), horizon);
-
-    // Drain-side comparison: the engine's batched dispatch pops a whole
-    // same-timestamp run per `pop_run` instead of one event per `pop`.
-    // Tie runs of 16 (the NIC batch depth) and 256 (a coalesced burst).
-    println!("-- drain: pop vs pop_run (TimingWheel) --");
-    let a = bench_drain!("tie16 pop", TimingWheel::<u64>::new(), 16, false);
-    let b = bench_drain!("tie16 pop_run", TimingWheel::<u64>::new(), 16, true);
-    assert_eq!(a, b, "drain styles must see identical events");
-    let a = bench_drain!("tie256 pop", TimingWheel::<u64>::new(), 256, false);
-    let b = bench_drain!("tie256 pop_run", TimingWheel::<u64>::new(), 256, true);
-    assert_eq!(a, b);
-    println!("-- drain: pop vs pop_run (HeapQueue) --");
-    let a = bench_drain!("tie16 pop", HeapQueue::<u64>::new(), 16, false);
-    let b = bench_drain!("tie16 pop_run", HeapQueue::<u64>::new(), 16, true);
-    assert_eq!(a, b);
-    let a = bench_drain!("tie256 pop", HeapQueue::<u64>::new(), 256, false);
-    let b = bench_drain!("tie256 pop_run", HeapQueue::<u64>::new(), 256, true);
-    assert_eq!(a, b);
 }

@@ -49,13 +49,6 @@ pub struct PerfResult {
     pub strip_slab_high_water: u64,
     /// Peak simultaneous occupancy of the read slab (deterministic).
     pub read_slab_high_water: u64,
-    /// Same-timestamp batches the engine dispatched (deterministic).
-    pub dispatch_batches: u64,
-    /// Largest same-timestamp batch dispatched (deterministic).
-    pub dispatch_max_batch: u64,
-    /// Power-of-two histogram of dispatched batch sizes: bucket `i`
-    /// counts batches of `2^i ..= 2^(i+1) - 1` events (deterministic).
-    pub dispatch_batch_hist: Vec<u64>,
     /// Telemetry windows the run opened (deterministic; 0 unless the
     /// scenario samples, i.e. `ObsConfig::timeseries` is on).
     pub window_rotations: u64,
@@ -135,9 +128,6 @@ pub fn measure(name: &'static str, cfg: &ScenarioConfig, reps: u32) -> PerfResul
     let mut peak_buckets = 0;
     let mut strip_slab_high_water = 0;
     let mut read_slab_high_water = 0;
-    let mut dispatch_batches = 0;
-    let mut dispatch_max_batch = 0;
-    let mut dispatch_batch_hist = Vec::new();
     let mut window_rotations = 0;
     let mut detector_evals = 0;
     for _ in 0..reps {
@@ -153,9 +143,6 @@ pub fn measure(name: &'static str, cfg: &ScenarioConfig, reps: u32) -> PerfResul
         peak_buckets = m.queue_peak_buckets;
         strip_slab_high_water = m.strip_slab_high_water;
         read_slab_high_water = m.read_slab_high_water;
-        dispatch_batches = m.dispatch_batches;
-        dispatch_max_batch = m.dispatch_max_batch;
-        dispatch_batch_hist = m.dispatch_batch_hist;
         window_rotations = m.window_rotations;
         detector_evals = m.detector_evals;
     }
@@ -182,9 +169,6 @@ pub fn measure(name: &'static str, cfg: &ScenarioConfig, reps: u32) -> PerfResul
         peak_buckets,
         strip_slab_high_water,
         read_slab_high_water,
-        dispatch_batches,
-        dispatch_max_batch,
-        dispatch_batch_hist,
         window_rotations,
         detector_evals,
         phases,
@@ -203,7 +187,7 @@ pub fn measure_all(reps: u32) -> Vec<PerfResult> {
         .map(|(name, cfg)| {
             let r = measure(name, cfg, reps);
             eprintln!(
-                "{:22} {:>10} events  {:>8.3} s  {:>12.0} events/s  ({:.1} simulated MB/s, {} cascades, {} peak buckets, slab hw {}/{}, {} batches max {}, {} telemetry windows)",
+                "{:22} {:>10} events  {:>8.3} s  {:>12.0} events/s  ({:.1} simulated MB/s, {} cascades, {} peak buckets, slab hw {}/{}, {} telemetry windows)",
                 r.name,
                 r.events,
                 r.wall_secs,
@@ -213,8 +197,6 @@ pub fn measure_all(reps: u32) -> Vec<PerfResult> {
                 r.peak_buckets,
                 r.strip_slab_high_water,
                 r.read_slab_high_water,
-                r.dispatch_batches,
-                r.dispatch_max_batch,
                 r.window_rotations
             );
             r
@@ -243,7 +225,7 @@ fn phases_json(phases: &[u64; NUM_PHASES]) -> String {
 
 /// Serialize results in the committed-baseline format (no external JSON
 /// dependency; one object per scenario, one line each). The slab,
-/// batch-dispatch, telemetry (`window_rotations`, `detector_evals`) and
+/// telemetry (`window_rotations`, `detector_evals`) and
 /// phase-attribution counters are additive `v1` fields, and the
 /// `"executor"` and `"microtouch"` objects are additive non-scenario
 /// lines: the line-oriented reader only parses `{"name":`-prefixed lines
@@ -256,14 +238,8 @@ pub fn to_json(
 ) -> String {
     let mut s = String::from("{\n  \"schema\": \"sais-perf-baseline/v1\",\n  \"scenarios\": [\n");
     for (i, r) in results.iter().enumerate() {
-        let hist = r
-            .dispatch_batch_hist
-            .iter()
-            .map(|c| c.to_string())
-            .collect::<Vec<_>>()
-            .join(", ");
         s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"events\": {}, \"wall_secs\": {:.4}, \"events_per_sec\": {:.0}, \"cascades\": {}, \"peak_buckets\": {}, \"strip_slab_high_water\": {}, \"read_slab_high_water\": {}, \"dispatch_batches\": {}, \"dispatch_max_batch\": {}, \"dispatch_batch_hist\": [{}], \"window_rotations\": {}, \"detector_evals\": {}, \"phases\": {}}}{}\n",
+            "    {{\"name\": \"{}\", \"events\": {}, \"wall_secs\": {:.4}, \"events_per_sec\": {:.0}, \"cascades\": {}, \"peak_buckets\": {}, \"strip_slab_high_water\": {}, \"read_slab_high_water\": {}, \"window_rotations\": {}, \"detector_evals\": {}, \"phases\": {}}}{}\n",
             r.name,
             r.events,
             r.wall_secs,
@@ -272,9 +248,6 @@ pub fn to_json(
             r.peak_buckets,
             r.strip_slab_high_water,
             r.read_slab_high_water,
-            r.dispatch_batches,
-            r.dispatch_max_batch,
-            hist,
             r.window_rotations,
             r.detector_evals,
             phases_json(&r.phases),
@@ -712,9 +685,6 @@ pub fn synthetic_results(events_per_sec: f64) -> Vec<PerfResult> {
             peak_buckets: 0,
             strip_slab_high_water: 0,
             read_slab_high_water: 0,
-            dispatch_batches: 0,
-            dispatch_max_batch: 0,
-            dispatch_batch_hist: Vec::new(),
             window_rotations: 0,
             detector_evals: 0,
             phases,
@@ -739,9 +709,6 @@ mod tests {
                 peak_buckets: 42,
                 strip_slab_high_water: 96,
                 read_slab_high_water: 48,
-                dispatch_batches: 1000,
-                dispatch_max_batch: 48,
-                dispatch_batch_hist: vec![10, 20, 30],
                 window_rotations: 128,
                 detector_evals: 128,
                 phases: [600, 500, 400, 300, 200, 100],
@@ -756,9 +723,6 @@ mod tests {
                 peak_buckets: 1,
                 strip_slab_high_water: 1,
                 read_slab_high_water: 1,
-                dispatch_batches: 99,
-                dispatch_max_batch: 1,
-                dispatch_batch_hist: vec![99],
                 window_rotations: 0,
                 detector_evals: 0,
                 phases: [0; NUM_PHASES],
@@ -801,14 +765,11 @@ mod tests {
         assert_eq!(parsed.len(), 2);
         assert!(parsed[0].contains("\"events\": 123456"));
         assert!(parsed[1].contains("\"events_per_sec\": 99000"));
-        // Additive v1 fields: slab high-waters and the batch histogram
+        // Additive v1 fields: slab high-waters and telemetry counters
         // ride along on the same line without disturbing the original
         // keys the line-oriented reader extracts.
         assert!(parsed[0].contains("\"strip_slab_high_water\": 96"));
         assert!(parsed[0].contains("\"read_slab_high_water\": 48"));
-        assert!(parsed[0].contains("\"dispatch_max_batch\": 48"));
-        assert!(parsed[0].contains("\"dispatch_batch_hist\": [10, 20, 30]"));
-        assert!(parsed[1].contains("\"dispatch_batch_hist\": [99]"));
         assert!(parsed[0].contains("\"window_rotations\": 128"));
         assert!(parsed[0].contains("\"detector_evals\": 128"));
         assert!(parsed[1].contains("\"window_rotations\": 0"));
@@ -843,10 +804,10 @@ mod tests {
     #[test]
     fn baseline_reader_ignores_additive_fields() {
         // The committed-baseline reader pulls (name, events, events_per_sec)
-        // out of a line that now also carries slab/batch counters; the
-        // extraction must not be confused by the extra keys or the
-        // embedded histogram array.
-        let line = "{\"name\": \"read_3gig_48srv\", \"events\": 123456, \"wall_secs\": 1.5000, \"events_per_sec\": 82304, \"cascades\": 17, \"peak_buckets\": 42, \"strip_slab_high_water\": 96, \"read_slab_high_water\": 48, \"dispatch_batches\": 1000, \"dispatch_max_batch\": 48, \"dispatch_batch_hist\": [10, 20, 30]}";
+        // out of a line that also carries keys it does not know, such as
+        // the batch counters older baselines still hold; the extraction
+        // must not be confused by the extra keys or an embedded array.
+        let line = "{\"name\": \"read_3gig_48srv\", \"events\": 123456, \"wall_secs\": 1.5000, \"events_per_sec\": 82304, \"cascades\": 17, \"peak_buckets\": 42, \"strip_slab_high_water\": 96, \"read_slab_high_water\": 48, \"unknown_count\": 1000, \"unknown_hist\": [10, 20, 30]}";
         let field = |key: &str| -> Option<&str> {
             let start = line.find(key)? + key.len();
             let rest = &line[start..];

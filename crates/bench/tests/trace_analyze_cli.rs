@@ -2,6 +2,10 @@
 //! report files on disk, the zero-stall assertion, and strict flag
 //! parsing.
 
+use sais_obs::json::MAX_DEPTH;
+use sais_obs::perfetto::to_chrome_json;
+use sais_obs::{FlightRecorder, SpanId};
+use sais_sim::SimTime;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -187,6 +191,36 @@ fn unknown_flags_and_bad_input_fail_loudly() {
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
+
+    // Hostile --input files: a valid export cut off mid-event, and a
+    // document nested one level deeper than the reader allows. Each is a
+    // typed error and exit 1, never a panic.
+    let mut rec = FlightRecorder::enabled(8);
+    let read = rec.begin(SimTime::ZERO, "read", "request", 0, 100, SpanId::NONE);
+    let strip = rec.begin(SimTime::ZERO, "strip", "strip", 0, 100, read);
+    rec.end(strip, SimTime::from_micros(5));
+    rec.end(read, SimTime::from_micros(6));
+    let export = to_chrome_json(&rec);
+    let cut = export.find("\"strip\"").expect("strip event exported");
+    let deep = MAX_DEPTH + 1;
+    for (doc, want) in [
+        (&export[..cut], "JSON error at byte"),
+        (
+            &format!("{}{}", "[".repeat(deep), "]".repeat(deep)),
+            "nesting deeper than",
+        ),
+    ] {
+        std::fs::write(&garbage, doc).unwrap();
+        let out = bin()
+            .args(["--input", garbage.to_str().unwrap()])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(stderr.contains("is not a loadable trace"), "{stderr}");
+        assert!(stderr.contains(want), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
     let _ = std::fs::remove_file(&garbage);
 }
 

@@ -31,7 +31,7 @@ use sais_net::{
 };
 use sais_obs::{FlightRecorder, MetricRegistry, MetricSnapshot, SpanId, Stage, StageHistograms};
 use sais_pvfs::{HintList, IoServer, MetadataServer, ReadTracker, StripeLayout};
-use sais_sim::{Model, RateResource, Scheduler, SimDuration, SimRng, SimTime, TraceRing};
+use sais_sim::{Model, RateResource, Scheduler, SimDuration, SimRng, SimTime};
 
 /// Synthetic `tid` base for per-process request lanes in exported traces
 /// (core tracks use the core index directly; `validate()` caps cores at 32,
@@ -117,7 +117,7 @@ struct ReadState {
 /// the [`SlabRef`], so the hot path resolves state with one indexed load
 /// instead of a hash probe.
 struct StripState {
-    /// Monotonic instance id (trace ring, frame ident, debug oracle).
+    /// Monotonic instance id (frame ident, debug oracle).
     id: u64,
     client: u32,
     /// Handle to the owning read's [`ReadState`].
@@ -215,8 +215,6 @@ pub struct ClientNode {
     strips_done: u64,
     migrated_strips: u64,
     fcs_drops: u64,
-    /// Debug/causality trace (disabled unless `trace_capacity > 0`).
-    pub trace: TraceRing,
     latency: sais_metrics::Histogram,
     t_done: SimTime,
     ip: u32,
@@ -766,7 +764,6 @@ impl Cluster {
         let counts = cl.mem.touch(dest, chunk);
         cl.mem
             .note_background(dest, counts.lines * self.cfg.background_accesses_per_line);
-        cl.trace.emit(now, "irq", s.id, dest as u64);
         cl.cores[dest].run(now, self.cfg.cpu.hardirq, WorkClass::HardIrq);
         let soft = self.cfg.cpu.softirq_per_packet * frames + counts.cost(cl.mem.params());
         let done = cl.cores[dest].run(now, soft, WorkClass::SoftIrq);
@@ -827,7 +824,6 @@ impl Cluster {
         let p = cl.mem.params();
         let stall = p.c2c_time(src.c2c);
         let dur = self.cfg.cpu.wake_ipi + self.cfg.cpu.context_switch + src.cost(p) + dst.cost(p);
-        cl.trace.emit(now, "copy", s.id, consumer as u64);
         let done = cl.cores[consumer].run(now, dur, WorkClass::Copy);
         let copy_span =
             self.recorder
@@ -1160,9 +1156,6 @@ impl Cluster {
             queue_high_water: 0,   // likewise
             queue_cascades: 0,     // likewise
             queue_peak_buckets: 0, // likewise
-            dispatch_batches: 0,   // likewise
-            dispatch_max_batch: 0, // likewise
-            dispatch_batch_hist: vec![], // likewise
             telemetry: self.telemetry.series().clone(),
             window_rotations: self.telemetry.rotations(),
             detector_evals: self.telemetry.detector_evals(),
@@ -1190,8 +1183,6 @@ impl Cluster {
         let mut fcs_drops = 0;
         let mut bytes = 0;
         let mut strips = 0;
-        let mut trace_recorded = 0;
-        let mut trace_dropped = 0;
         let mut degraded_flows = 0;
         let mut latency = sais_metrics::Histogram::new();
         for cl in &self.clients {
@@ -1207,8 +1198,6 @@ impl Cluster {
             fcs_drops += cl.fcs_drops;
             bytes += cl.bytes_done;
             strips += cl.strips_done;
-            trace_recorded += cl.trace.recorded();
-            trace_dropped += cl.trace.dropped();
             latency.merge(&cl.latency);
         }
         reg.counter("io.bytes_delivered", bytes);
@@ -1238,8 +1227,6 @@ impl Cluster {
                 l2_misses as f64 / l2_accesses as f64
             },
         );
-        reg.counter("trace.recorded", trace_recorded);
-        reg.counter("trace.dropped", trace_dropped);
         reg.counter("obs.window_rotations", self.telemetry.rotations());
         reg.counter("obs.detector_evals", self.telemetry.detector_evals());
         reg.counter("obs.spans_recorded", self.recorder.recorded());
@@ -1320,7 +1307,6 @@ impl ClientNode {
             strips_done: 0,
             migrated_strips: 0,
             fcs_drops: 0,
-            trace: TraceRing::new(cfg.trace_capacity),
             latency: sais_metrics::Histogram::new(),
             t_done: SimTime::ZERO,
             ip: 0x0A00_0001 + id,

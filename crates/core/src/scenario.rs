@@ -457,10 +457,6 @@ pub struct ScenarioConfig {
     pub retransmit_timeout: SimDuration,
     /// Deterministic fault-injection plan ([`FaultPlan::none`] by default).
     pub faults: FaultPlan,
-    /// Capacity of the per-client event-trace ring (0 disables tracing).
-    /// Tracing is for debugging and causality tests; metrics never depend
-    /// on it.
-    pub trace_capacity: usize,
     /// Optional IRQ affinity mask applied to every NIC IRQ line (what
     /// `/proc/irq/N/smp_affinity` writes do). Bit *i* permits core *i*.
     /// A policy choice outside the mask is clamped by the I/O APIC — so a
@@ -501,7 +497,6 @@ impl ScenarioConfig {
             server: ServerParams::default(),
             retransmit_timeout: SimDuration::from_millis(5),
             faults: FaultPlan::none(),
-            trace_capacity: 0,
             irq_affinity_mask: None,
             obs: ObsConfig::default(),
         }
@@ -625,9 +620,6 @@ impl ScenarioConfig {
         let queue_high_water = engine.queue_high_water() as u64;
         let queue_cascades = engine.queue_cascades();
         let queue_peak_buckets = engine.queue_peak_buckets() as u64;
-        let dispatch_batches = engine.dispatch_batches();
-        let dispatch_max_batch = engine.max_batch();
-        let dispatch_batch_hist = engine.batch_size_hist().to_vec();
         let mut cluster = engine.into_model();
         cluster.finish_telemetry();
         let mut metrics = cluster.collect_metrics(now);
@@ -635,9 +627,6 @@ impl ScenarioConfig {
         metrics.queue_high_water = queue_high_water;
         metrics.queue_cascades = queue_cascades;
         metrics.queue_peak_buckets = queue_peak_buckets;
-        metrics.dispatch_batches = dispatch_batches;
-        metrics.dispatch_max_batch = dispatch_max_batch;
-        metrics.dispatch_batch_hist = dispatch_batch_hist;
         (metrics, cluster)
     }
 
@@ -757,17 +746,6 @@ pub struct RunMetrics {
     pub strip_slab_high_water: u64,
     /// Peak simultaneous occupancy of the read slab.
     pub read_slab_high_water: u64,
-    /// Same-timestamp batches the engine dispatched (host-side
-    /// accounting; filled in by `ScenarioConfig::run_full`).
-    pub dispatch_batches: u64,
-    /// Largest same-timestamp batch dispatched (host-side accounting;
-    /// filled in by `ScenarioConfig::run_full`).
-    pub dispatch_max_batch: u64,
-    /// Power-of-two histogram of dispatched batch sizes: bucket `i`
-    /// counts batches of `2^i ..= 2^(i+1) - 1` events, the last bucket
-    /// absorbing larger runs (host-side accounting; filled in by
-    /// `ScenarioConfig::run_full`).
-    pub dispatch_batch_hist: Vec<u64>,
     /// Windowed time-series telemetry (disabled/empty unless
     /// [`ObsConfig::timeseries`] was on for the run).
     pub telemetry: crate::telemetry::TelemetrySeries,

@@ -212,7 +212,7 @@ impl JsonValue {
     }
 }
 
-fn write_json_string(s: &str, out: &mut String) {
+pub(crate) fn write_json_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -16,7 +16,7 @@
 //! the events through the pull reader in [`crate::json`], keeping per
 //! event only the fields it checks.
 
-use crate::json::{exact_u64, JsonError, Reader, Token};
+use crate::json::{exact_u64, write_json_string, JsonError, Reader, Token};
 use crate::span::{FlightRecorder, SpanId};
 use sais_sim::SimTime;
 use std::fmt::Write;
@@ -45,7 +45,8 @@ pub fn to_chrome_json(rec: &FlightRecorder) -> String {
     // Events are separated by ",\n"; the last one ends with "\n".
     let mut sep = "";
     // Writing into a `String` cannot fail, so the `fmt::Result`s below
-    // are discarded.
+    // are discarded. Names and argument keys go through the JSON string
+    // escaper; everything else is a number or a fixed literal.
     for pid in &pids {
         let _ = write!(
             out,
@@ -58,8 +59,10 @@ pub fn to_chrome_json(rec: &FlightRecorder) -> String {
         let _ = write!(
             out,
             "{sep}{{\"ph\": \"M\", \"pid\": {pid}, \"tid\": {tid}, \"name\": \"thread_name\", \
-             \"args\": {{\"name\": \"{name}\"}}}}"
+             \"args\": {{\"name\": "
         );
+        write_json_string(name, &mut out);
+        out.push_str("}}");
         sep = ",\n";
     }
     for (i, s) in rec.spans().iter().enumerate() {
@@ -68,12 +71,15 @@ pub fn to_chrome_json(rec: &FlightRecorder) -> String {
         } else {
             s.end
         };
+        out.push_str(sep);
+        out.push_str("{\"name\": ");
+        write_json_string(s.name, &mut out);
+        out.push_str(", \"cat\": ");
+        write_json_string(s.cat, &mut out);
         let _ = write!(
             out,
-            "{sep}{{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"X\", \"ts\": {:?}, \
-             \"dur\": {:?}, \"pid\": {}, \"tid\": {}, \"args\": {{\"id\": {i}, \"parent\": ",
-            s.name,
-            s.cat,
+            ", \"ph\": \"X\", \"ts\": {:?}, \"dur\": {:?}, \"pid\": {}, \"tid\": {}, \
+             \"args\": {{\"id\": {i}, \"parent\": ",
             ts_us(s.start),
             ts_us(end) - ts_us(s.start),
             s.pid,
@@ -85,17 +91,21 @@ pub fn to_chrome_json(rec: &FlightRecorder) -> String {
             let _ = write!(out, "{}", s.parent.0);
         }
         for (k, v) in s.args.iter().filter(|(k, _)| !k.is_empty()) {
-            let _ = write!(out, ", \"{k}\": {v}");
+            out.push_str(", ");
+            write_json_string(k, &mut out);
+            let _ = write!(out, ": {v}");
         }
         out.push_str("}}");
         sep = ",\n";
     }
     for ev in rec.instants() {
+        out.push_str(sep);
+        out.push_str("{\"name\": ");
+        write_json_string(ev.name, &mut out);
         let _ = write!(
             out,
-            "{sep}{{\"name\": \"{}\", \"ph\": \"i\", \"ts\": {:?}, \"pid\": {}, \"tid\": {}, \
+            ", \"ph\": \"i\", \"ts\": {:?}, \"pid\": {}, \"tid\": {}, \
              \"s\": \"t\", \"args\": {{\"value\": {}}}}}",
-            ev.name,
             ts_us(ev.time),
             ev.pid,
             ev.tid,
@@ -288,7 +298,10 @@ fn check_events(events: &[EventRecord]) -> Result<TraceStats, String> {
         let id = ev.id.ok_or("X event without args.id")?;
         let ts = ev.ts.ok_or("X event without ts")?;
         let dur = ev.dur.ok_or("X event without dur")?;
-        *span_slot(&mut intervals, id)? = Some((ts, ts + dur));
+        // `ts` and `dur` are µs floats of whole nanoseconds, and `ts + dur`
+        // can round past a parent's end: compare the nanoseconds they encode.
+        let start = (ts * 1000.0).round();
+        *span_slot(&mut intervals, id)? = Some((start, start + (dur * 1000.0).round()));
     }
     let mut stats = TraceStats::default();
     for ev in events {
@@ -321,11 +334,10 @@ fn check_events(events: &[EventRecord]) -> Result<TraceStats, String> {
                         .flatten()
                         .ok_or_else(|| format!("span {id} has dangling parent {pid}"))?;
                     let (ts, end) = intervals[id].expect("collected in first pass");
-                    // Children nest within their parent (μs floats from the
-                    // same integer-ns source compare exactly).
+                    // Children nest within their parent.
                     if ts < pts || end > pend {
                         return Err(format!(
-                            "span {id} [{ts}, {end}] escapes parent {pid} [{pts}, {pend}]"
+                            "span {id} [{ts}, {end}] ns escapes parent {pid} [{pts}, {pend}] ns"
                         ));
                     }
                 }
@@ -386,6 +398,31 @@ mod tests {
             to_chrome_json(&FlightRecorder::disabled()),
             "{\n\"traceEvents\": [\n],\n\"displayTimeUnit\": \"ns\"\n}\n"
         );
+    }
+
+    #[test]
+    fn names_are_escaped() {
+        let mut r = FlightRecorder::enabled(4);
+        r.name_track(0, 1, "core \"1\" \\ a");
+        let s = r.begin(SimTime::ZERO, "a\"b", "c\\d", 0, 1, SpanId::NONE);
+        r.set_arg(s, "k\"", 7);
+        r.end(s, SimTime::from_micros(1));
+        r.instant(SimTime::ZERO, "i\n", 0, 1, 0);
+        let json = to_chrome_json(&r);
+        assert_eq!(validate(&json).expect("escaped export").spans, 1);
+        let doc = JsonValue::parse(&json).unwrap();
+        let events = doc.get("traceEvents").unwrap().as_array().unwrap();
+        let name = |i: usize| events[i].get("name").and_then(JsonValue::as_str);
+        let track = events[1].get("args").unwrap().get("name");
+        assert_eq!(track.and_then(JsonValue::as_str), Some("core \"1\" \\ a"));
+        assert_eq!(name(2), Some("a\"b"));
+        assert_eq!(
+            events[2].get("cat").and_then(JsonValue::as_str),
+            Some("c\\d")
+        );
+        let arg = events[2].get("args").unwrap().get("k\"");
+        assert_eq!(arg.and_then(JsonValue::as_u64), Some(7));
+        assert_eq!(name(3), Some("i\n"));
     }
 
     fn one_span(id: &str) -> String {

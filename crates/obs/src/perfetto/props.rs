@@ -11,8 +11,8 @@ use proptest::test_runner::TestCaseError;
 use sais_sim::SimTime;
 
 /// The validator as it was before it streamed: parse the whole document
-/// into a tree, then check it in two passes. Span ids are bounded the same
-/// way.
+/// into a tree, then check it in two passes. Span ids are bounded, and
+/// nesting compared in whole nanoseconds, the same way.
 fn tree_validate(text: &str) -> Result<TraceStats, String> {
     let doc = JsonValue::parse(text).map_err(|e| e.to_string())?;
     let events = doc
@@ -36,7 +36,8 @@ fn tree_validate(text: &str) -> Result<TraceStats, String> {
                 .get("dur")
                 .and_then(JsonValue::as_f64)
                 .ok_or("X event without dur")?;
-            *span_slot(&mut intervals, id)? = Some((ts, ts + dur));
+            let start = (ts * 1000.0).round();
+            *span_slot(&mut intervals, id)? = Some((start, start + (dur * 1000.0).round()));
         }
     }
     for ev in events {
@@ -76,7 +77,7 @@ fn tree_validate(text: &str) -> Result<TraceStats, String> {
                     let (ts, end) = intervals[id].expect("collected in first pass");
                     if ts < pts || end > pend {
                         return Err(format!(
-                            "span {id} [{ts}, {end}] escapes parent {pid} [{pts}, {pend}]"
+                            "span {id} [{ts}, {end}] ns escapes parent {pid} [{pts}, {pend}] ns"
                         ));
                     }
                 }
@@ -117,15 +118,17 @@ fn recorder(ops: &[(u8, u64)]) -> FlightRecorder {
             }
             3 => now += x % 10_000,
             4 => {
-                // A key set twice would be exported twice, which no
-                // document may hold.
-                let (spans, key) = (r.spans().len() as u64, ARG_KEYS[(x % 3) as usize]);
-                if spans > 0 && r.spans()[(x % spans) as usize].arg(key).is_none() {
-                    r.set_arg(SpanId((x % spans) as u32), key, x);
+                let spans = r.spans().len() as u64;
+                if spans > 0 {
+                    r.set_arg(SpanId((x % spans) as u32), ARG_KEYS[(x % 3) as usize], x);
                 }
             }
             5 => r.instant(at, "done", pid, tid, x),
-            _ => r.name_track(pid, tid, format!("core {tid}")),
+            // Some track names need escaping.
+            _ => {
+                let prefix = ["core ", "core \"", "c:\\core "][(x % 3) as usize];
+                r.name_track(pid, tid, format!("{prefix}{tid}"));
+            }
         }
     }
     if ops.len().is_multiple_of(2) {
@@ -269,6 +272,9 @@ proptest! {
     ) {
         let export = to_chrome_json(&recorder(&ops));
         let clean = check(&export)?;
+        if ops.len().is_multiple_of(2) {
+            prop_assert!(clean.is_ok(), "closed recorder rejected: {:?}\n{}", clean, export);
+        }
         for plan in &edits {
             let mut doc = JsonValue::parse(&export).expect("the export parses");
             let mut benign = true;

@@ -195,15 +195,22 @@ impl FlightRecorder {
         self.spans[id.0 as usize].end = now;
     }
 
-    /// Attach a key/value argument to an open or closed span. Silently
-    /// ignored once the span's [`MAX_ARGS`] inline slots are full.
+    /// Attach a key/value argument to an open or closed span. Setting a
+    /// key the span already holds overwrites its value. A new key is
+    /// silently ignored once the span's [`MAX_ARGS`] inline slots are full.
     #[inline]
     pub fn set_arg(&mut self, id: SpanId, key: &'static str, value: u64) {
         if !self.enabled || !id.is_some() {
             return;
         }
         let span = &mut self.spans[id.0 as usize];
-        if let Some(slot) = span.args.iter_mut().find(|(k, _)| k.is_empty()) {
+        // Slots fill left to right and are never freed, so the first one
+        // that is empty or holds `key` is where `key` lives.
+        if let Some(slot) = span
+            .args
+            .iter_mut()
+            .find(|(k, _)| k.is_empty() || *k == key)
+        {
             *slot = (key, value);
         }
     }
@@ -403,6 +410,23 @@ mod tests {
         assert_eq!(span.arg("a"), Some(0));
         assert_eq!(span.arg("c"), Some(2));
         assert_eq!(span.arg("d"), None, "fourth arg dropped");
+    }
+
+    #[test]
+    fn setting_a_key_twice_overwrites_it() {
+        let mut r = FlightRecorder::enabled(4);
+        let s = r.begin(SimTime::ZERO, "irq", "interrupt", 0, 0, SpanId::NONE);
+        r.set_arg(s, "svc", 1);
+        r.set_arg(s, "bytes", 2);
+        r.set_arg(s, "svc", 3);
+        r.end(s, SimTime::from_micros(1));
+        let args = r.spans()[0].args;
+        assert_eq!(args.iter().filter(|(k, _)| *k == "svc").count(), 1);
+        assert_eq!(r.spans()[0].arg("svc"), Some(3));
+        assert_eq!(r.spans()[0].arg("bytes"), Some(2));
+        let stats = crate::perfetto::validate(&crate::perfetto::to_chrome_json(&r))
+            .expect("the export holds no duplicate key");
+        assert_eq!(stats.spans, 1);
     }
 
     #[test]

@@ -52,35 +52,7 @@ pub trait Model {
 
     /// Handle one event at its firing time. Follow-ups go through `sched`.
     fn handle(&mut self, event: Self::Event, sched: &mut Scheduler<'_, Self::Event>);
-
-    /// Handle a *batch* of events sharing one firing time, in dispatch
-    /// order. The default implementation loops over [`Model::handle`];
-    /// models override it to amortize per-event setup across a burst of
-    /// simultaneous events (the coalesced-interrupt shape SAIs creates by
-    /// design).
-    ///
-    /// Semantics are identical to per-event dispatch: the engine pops the
-    /// whole same-timestamp run in `(time, seq)` order before calling
-    /// this, and any event the model schedules *at the current instant*
-    /// receives a later sequence number than every batch member, so it
-    /// fires in a subsequent batch — exactly where per-event dispatch
-    /// would have put it. Implementations must drain `events` completely
-    /// and handle them in iteration order.
-    fn handle_batch(
-        &mut self,
-        events: std::vec::Drain<'_, Self::Event>,
-        sched: &mut Scheduler<'_, Self::Event>,
-    ) {
-        for event in events {
-            self.handle(event, sched);
-        }
-    }
 }
-
-/// Number of power-of-two buckets in the engine's batch-size histogram
-/// (bucket `i` counts batches of `2^i ..= 2^(i+1) - 1` events; the last
-/// bucket absorbs everything larger).
-pub const BATCH_HIST_BUCKETS: usize = 16;
 
 /// Outcome of a bounded run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,11 +92,6 @@ pub struct Engine<M: Model> {
     queue: EventQueue<M::Event>,
     now: SimTime,
     dispatched: u64,
-    /// Reused scratch buffer for the current same-timestamp batch.
-    batch: Vec<M::Event>,
-    batches: u64,
-    max_batch: u64,
-    batch_hist: [u64; BATCH_HIST_BUCKETS],
 }
 
 impl<M: Model> Engine<M> {
@@ -143,10 +110,6 @@ impl<M: Model> Engine<M> {
             queue: EventQueue::with_capacity(capacity),
             now: SimTime::ZERO,
             dispatched: 0,
-            batch: Vec::new(),
-            batches: 0,
-            max_batch: 0,
-            batch_hist: [0; BATCH_HIST_BUCKETS],
         }
     }
 
@@ -160,33 +123,10 @@ impl<M: Model> Engine<M> {
         self.dispatched
     }
 
-    /// Number of same-timestamp batches dispatched so far (per-event
-    /// reference dispatch counts every event as a batch of one).
+    /// The same count as [`Engine::dispatched`]: every event is
+    /// dispatched on its own. Kept for callers that read it by this name.
     pub fn dispatch_batches(&self) -> u64 {
-        self.batches
-    }
-
-    /// Largest same-timestamp batch dispatched so far.
-    pub fn max_batch(&self) -> u64 {
-        self.max_batch
-    }
-
-    /// Power-of-two histogram of dispatched batch sizes: bucket `i`
-    /// counts batches of `2^i ..= 2^(i+1) - 1` events (the last bucket
-    /// absorbs larger runs).
-    pub fn batch_size_hist(&self) -> &[u64; BATCH_HIST_BUCKETS] {
-        &self.batch_hist
-    }
-
-    #[inline]
-    fn record_batch(&mut self, n: u64) {
-        debug_assert!(n > 0);
-        self.batches += 1;
-        if n > self.max_batch {
-            self.max_batch = n;
-        }
-        let bucket = (63 - n.leading_zeros() as usize).min(BATCH_HIST_BUCKETS - 1);
-        self.batch_hist[bucket] += 1;
+        self.dispatched
     }
 
     /// Peak number of simultaneously pending events so far.
@@ -239,14 +179,10 @@ impl<M: Model> Engine<M> {
 
     /// Run until quiescence, a time bound, or an event-count bound.
     ///
-    /// Dispatch is *batched*: each iteration pops the entire run of
-    /// events sharing the earliest timestamp (capped by the remaining
-    /// event budget, so event-limit semantics are exact) and hands it to
-    /// [`Model::handle_batch`] in `(time, seq)` order. Observationally
-    /// identical to [`Engine::run_bounded_unbatched`] — asserted
-    /// end-to-end by the determinism suite — but pays queue cursor
-    /// maintenance and dispatch setup once per instant instead of once
-    /// per event.
+    /// Each iteration pops the earliest `(time, seq)` event and hands it
+    /// to [`Model::handle`]; an event scheduled at the current instant
+    /// carries a later sequence number than every pending one, so it
+    /// fires after them.
     pub fn run_bounded(&mut self, until: SimTime, max_events: u64) -> RunOutcome {
         let mut handled = 0u64;
         while let Some(t) = self.queue.peek_time() {
@@ -256,55 +192,14 @@ impl<M: Model> Engine<M> {
             if handled >= max_events {
                 return RunOutcome::EventLimit;
             }
-            debug_assert!(self.batch.is_empty(), "model left batch undrained");
-            self.batch.clear();
-            let time = {
+            let (time, event) = {
                 // Wheel advance + cascade vs model work, separated for
                 // the host profiler (bit-inert: one branch when off).
-                sais_prof::zone!("engine.advance");
-                self.queue
-                    .pop_run(max_events - handled, &mut self.batch)
-                    .expect("peeked entry vanished")
-            };
-            debug_assert!(time >= self.now, "event queue produced time regression");
-            self.now = time;
-            let n = self.batch.len() as u64;
-            self.record_batch(n);
-            let mut sched = Scheduler {
-                now: time,
-                queue: &mut self.queue,
-            };
-            {
-                sais_prof::zone!("engine.dispatch");
-                self.model.handle_batch(self.batch.drain(..), &mut sched);
-            }
-            self.dispatched += n;
-            handled += n;
-        }
-        RunOutcome::Quiescent
-    }
-
-    /// Per-event reference dispatch: identical semantics to
-    /// [`Engine::run_bounded`], but every event goes through
-    /// [`Model::handle`] individually (each counted as a batch of one).
-    /// Kept as the oracle for the batched path — determinism tests run a
-    /// scenario both ways and assert bit-identical metrics and traces.
-    pub fn run_bounded_unbatched(&mut self, until: SimTime, max_events: u64) -> RunOutcome {
-        let mut handled = 0u64;
-        while let Some(t) = self.queue.peek_time() {
-            if t > until {
-                return RunOutcome::TimeLimit;
-            }
-            if handled >= max_events {
-                return RunOutcome::EventLimit;
-            }
-            let (time, event) = {
                 sais_prof::zone!("engine.advance");
                 self.queue.pop().expect("peeked entry vanished")
             };
             debug_assert!(time >= self.now, "event queue produced time regression");
             self.now = time;
-            self.record_batch(1);
             let mut sched = Scheduler {
                 now: time,
                 queue: &mut self.queue,
@@ -317,14 +212,6 @@ impl<M: Model> Engine<M> {
             handled += 1;
         }
         RunOutcome::Quiescent
-    }
-
-    /// [`Engine::run_to_quiescence`] over the per-event reference path.
-    pub fn run_to_quiescence_unbatched(&mut self, max_events: u64) {
-        match self.run_bounded_unbatched(SimTime::MAX, max_events) {
-            RunOutcome::Quiescent => {}
-            other => panic!("simulation did not quiesce: {other:?} after {max_events} events"),
-        }
     }
 }
 
@@ -423,19 +310,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_stats_track_tie_runs() {
-        let mut eng = Engine::new(Recorder { order: vec![] });
-        eng.prime(SimTime::ZERO, 0);
-        eng.run_to_quiescence(10);
-        // Event 0 fires alone; the three events it schedules at the same
-        // instant carry later seqs, so they form the next batch.
-        assert_eq!(eng.dispatch_batches(), 2);
-        assert_eq!(eng.max_batch(), 3);
-        assert_eq!(eng.batch_size_hist()[0], 1, "one singleton batch");
-        assert_eq!(eng.batch_size_hist()[1], 1, "one batch of 2..=3");
-    }
-
-    #[test]
     fn event_limit_is_exact_across_a_tie_storm() {
         let mut eng = Engine::new(Recorder { order: vec![] });
         for i in 10..20 {
@@ -446,58 +320,7 @@ mod tests {
         assert_eq!(
             eng.model().order,
             vec![10, 11, 12, 13, 14, 15, 16],
-            "the batch cap must split a same-timestamp run exactly at the budget"
+            "the event budget must split a same-timestamp run exactly"
         );
-    }
-
-    #[test]
-    fn unbatched_reference_path_matches() {
-        let mut batched = Engine::new(Recorder { order: vec![] });
-        batched.prime(SimTime::ZERO, 0);
-        batched.run_to_quiescence(10);
-        let mut single = Engine::new(Recorder { order: vec![] });
-        single.prime(SimTime::ZERO, 0);
-        single.run_to_quiescence_unbatched(10);
-        assert_eq!(batched.model().order, single.model().order);
-        assert_eq!(batched.dispatched(), single.dispatched());
-        assert_eq!(
-            single.dispatch_batches(),
-            4,
-            "every event is a batch of one"
-        );
-        assert_eq!(single.max_batch(), 1);
-    }
-
-    /// A model whose `handle_batch` override diverges on purpose, proving
-    /// the engine routes through the override.
-    struct BatchAware {
-        batches_seen: Vec<usize>,
-    }
-    impl Model for BatchAware {
-        type Event = u32;
-        fn handle(&mut self, _event: u32, _sched: &mut Scheduler<'_, u32>) {}
-        fn handle_batch(
-            &mut self,
-            events: std::vec::Drain<'_, u32>,
-            sched: &mut Scheduler<'_, u32>,
-        ) {
-            self.batches_seen.push(events.len());
-            for event in events {
-                self.handle(event, sched);
-            }
-        }
-    }
-
-    #[test]
-    fn handle_batch_override_receives_whole_runs() {
-        let mut eng = Engine::new(BatchAware {
-            batches_seen: vec![],
-        });
-        for i in 0..5 {
-            eng.prime(SimTime::ZERO, i);
-        }
-        eng.prime(SimTime::from_nanos(10), 99);
-        eng.run_to_quiescence(10);
-        assert_eq!(eng.model().batches_seen, vec![5, 1]);
     }
 }

@@ -28,10 +28,9 @@ pub mod queue;
 pub mod resource;
 pub mod rng;
 pub mod time;
-pub mod trace;
 pub mod wheel;
 
-pub use engine::{Engine, Model, Scheduler, BATCH_HIST_BUCKETS};
+pub use engine::{Engine, Model, Scheduler};
 pub use queue::HeapQueue;
 pub use wheel::TimingWheel;
 
@@ -42,4 +41,3 @@ pub type EventQueue<E> = TimingWheel<E>;
 pub use resource::{RateResource, SerialResource};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceEvent, TraceRing};

@@ -108,35 +108,6 @@ impl<E> HeapQueue<E> {
         })
     }
 
-    /// Remove the *run* of events sharing the earliest pending timestamp
-    /// — at most `cap` of them — appending the events to `buf` in
-    /// dispatch (insertion-sequence) order. Returns the shared firing
-    /// time, or `None` if the queue is empty or `cap` is zero.
-    ///
-    /// API parity with [`crate::TimingWheel::pop_run`]; the heap version
-    /// is just repeated pops, so the oracle property tests can drive both
-    /// structures through the batched path and assert identical runs.
-    pub fn pop_run(&mut self, cap: u64, buf: &mut Vec<E>) -> Option<SimTime> {
-        if cap == 0 {
-            return None;
-        }
-        let (time, event) = self.pop()?;
-        buf.push(event);
-        let mut n = 1u64;
-        while n < cap {
-            match self.heap.peek() {
-                Some(e) if e.time() == time => {
-                    let e = self.heap.pop().expect("peeked entry vanished");
-                    self.popped += 1;
-                    buf.push(e.event);
-                    n += 1;
-                }
-                _ => break,
-            }
-        }
-        Some(time)
-    }
-
     /// The firing time of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.time())

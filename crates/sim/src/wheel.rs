@@ -302,59 +302,6 @@ impl<E> TimingWheel<E> {
         Some((e.time(), e.event))
     }
 
-    /// Remove the *run* of events sharing the earliest pending timestamp
-    /// — at most `cap` of them — appending the events to `buf` in
-    /// dispatch (insertion-sequence) order. Returns the shared firing
-    /// time, or `None` if the queue is empty or `cap` is zero.
-    ///
-    /// Equivalent to calling [`TimingWheel::pop`] repeatedly while the
-    /// next event's time equals the first's (bounded by `cap`), but pays
-    /// the cursor-bucket bookkeeping once per run instead of once per
-    /// event. Because the open cursor bucket is sorted *descending* by
-    /// the packed `(time, seq)` key, the same-timestamp run is exactly
-    /// the bucket's tail, and popping from the back yields ascending
-    /// `seq` — identical order to repeated single pops (asserted against
-    /// the [`crate::HeapQueue`] oracle in `tests/props.rs`).
-    pub fn pop_run(&mut self, cap: u64, buf: &mut Vec<E>) -> Option<SimTime> {
-        if self.count == 0 || cap == 0 {
-            return None;
-        }
-        let slot = (self.base & SLOT_MASK) as usize;
-        let bucket = &mut self.ring[slot];
-        let last = bucket.last().expect("cursor bucket empty");
-        debug_assert_eq!(Some(last.key), self.next_key);
-        let time = last.time();
-        let time_hi = last.key >> 64;
-        // Walk the tail of the descending bucket to size the run.
-        let mut n = 1usize;
-        while (n as u64) < cap
-            && n < bucket.len()
-            && bucket[bucket.len() - 1 - n].key >> 64 == time_hi
-        {
-            n += 1;
-        }
-        buf.reserve(n);
-        for _ in 0..n {
-            let e = bucket.pop().expect("run outlived its bucket");
-            buf.push(e.event);
-        }
-        let rest_key = bucket.last().map(|e| e.key);
-        self.count -= n;
-        self.popped += n as u64;
-        match rest_key {
-            Some(k) => self.next_key = Some(k),
-            None => {
-                self.unmark(slot);
-                if self.count == 0 {
-                    self.next_key = None;
-                } else {
-                    self.advance();
-                }
-            }
-        }
-        Some(time)
-    }
-
     /// The firing time of the next event without removing it.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {

@@ -66,57 +66,6 @@ proptest! {
         prop_assert_eq!(wheel.high_water(), heap.high_water());
     }
 
-    /// The batched drain agrees with the oracle too: `pop_run` on the
-    /// wheel yields exactly the events (and shared timestamp) that the
-    /// heap's `pop_run` yields, for any interleaving and any cap —
-    /// including caps that split a same-timestamp run mid-way.
-    #[test]
-    fn wheel_pop_run_matches_heap_oracle(
-        ops in proptest::collection::vec(queue_op(), 1..500),
-        cap in 1u64..8,
-    ) {
-        let mut wheel = TimingWheel::with_capacity(0);
-        let mut heap = HeapQueue::with_capacity(0);
-        for (i, op) in ops.iter().enumerate() {
-            match op {
-                QueueOp::Push(t) => {
-                    wheel.push(SimTime::from_nanos(*t), i);
-                    heap.push(SimTime::from_nanos(*t), i);
-                }
-                QueueOp::Pop => {
-                    let mut wb = Vec::new();
-                    let mut hb = Vec::new();
-                    let wt = wheel.pop_run(cap, &mut wb);
-                    let ht = heap.pop_run(cap, &mut hb);
-                    prop_assert_eq!(wt, ht);
-                    prop_assert_eq!(&wb, &hb);
-                    if let Some(t) = wt {
-                        prop_assert!(wb.len() as u64 <= cap, "cap respected");
-                        prop_assert!(!wb.is_empty());
-                        // Everything still pending is at or after the run's time.
-                        if let Some(nt) = wheel.peek_time() {
-                            prop_assert!(nt >= t);
-                        }
-                    }
-                }
-            }
-            prop_assert_eq!(wheel.peek_time(), heap.peek_time());
-            prop_assert_eq!(wheel.len(), heap.len());
-        }
-        // Drain both through the batched path; tails must agree.
-        loop {
-            let mut wb = Vec::new();
-            let mut hb = Vec::new();
-            let (wt, ht) = (wheel.pop_run(u64::MAX, &mut wb), heap.pop_run(u64::MAX, &mut hb));
-            prop_assert_eq!(wt, ht);
-            prop_assert_eq!(&wb, &hb);
-            if wt.is_none() {
-                break;
-            }
-        }
-        prop_assert_eq!(wheel.total_popped(), heap.total_popped());
-    }
-
     /// Pop order is non-decreasing in time for any push sequence, and ties
     /// preserve push order.
     #[test]
