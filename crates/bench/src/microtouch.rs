@@ -30,8 +30,13 @@
 //! * `chunk_edge` — each fresh strip arrives as six interrupt chunks
 //!   sized the way `NicBond::receive_strip` sizes them (45 frames of
 //!   1460 B, coalesced 8 to a batch), alternating between two handler
-//!   cores, and is then consumed on a third: the chunk-edge partial fills
-//!   and the mixed-ownership migrations of the interrupt-heavy read path.
+//!   cores, and is then consumed on a third: the cross-core minority of
+//!   chunk edges, where the boundary line migrates between the chunks'
+//!   cores and a partly filled group changes hands.
+//! * `chunk_edge_local` — the same six chunks all on one core, which
+//!   then reads the strip: the dominant SAIs shape, where every chunk
+//!   edge is a prefix fill, a boundary-line hit and a suffix fill on the
+//!   consuming core — the split path of the virtual block encoding.
 //!
 //! Each result carries the extent counters its timed loop added, so a
 //! test can check that a regime takes the path it is named after.
@@ -74,6 +79,8 @@ fn paths_since(mem: &MemorySystem, before: ExtentStats) -> ExtentStats {
         partial_hit_lines: now.partial_hit_lines - before.partial_hit_lines,
         masked_fill_lines: now.masked_fill_lines - before.masked_fill_lines,
         fallback_lines: now.fallback_lines - before.fallback_lines,
+        prefix_fills: now.prefix_fills - before.prefix_fills,
+        split_fills: now.split_fills - before.split_fills,
     }
 }
 
@@ -213,10 +220,15 @@ fn chunk_bytes(payload: u64, frames: u64, per_batch: u64) -> Vec<u64> {
         .collect()
 }
 
-/// Fresh strips filled in interrupt-sized chunks that alternate between
-/// cores 0 and 1, each strip then read on core 2. No chunk ends on a
-/// group boundary, so every chunk starts and ends with a partial group.
-fn chunk_edge(reps: u64) -> RegimeResult {
+/// Fresh strips filled in interrupt-sized chunks on `core_of(chunk)`,
+/// each strip then read on `reader`. No chunk ends on a group boundary,
+/// so every chunk starts and ends with a partial group.
+fn chunked_strips(
+    regime: &'static str,
+    reps: u64,
+    core_of: impl Fn(usize) -> usize,
+    reader: usize,
+) -> RegimeResult {
     let (mut mem, mut alloc) = fresh(8);
     let chunks = chunk_bytes(STRIP_BYTES, STRIP_BYTES.div_ceil(1460), 8);
     let mut lines = 0u64;
@@ -227,18 +239,28 @@ fn chunk_edge(reps: u64) -> RegimeResult {
         let mut off = 0;
         for (i, &bytes) in chunks.iter().enumerate() {
             lines += mem
-                .touch(i % 2, AddrRange::new(strip.start + off, bytes))
+                .touch(core_of(i), AddrRange::new(strip.start + off, bytes))
                 .lines;
             off += bytes;
         }
-        lines += mem.touch(2, strip).lines;
+        lines += mem.touch(reader, strip).lines;
     }
     RegimeResult {
-        regime: "chunk_edge",
+        regime,
         ns_per_line: per_line(t0.elapsed().as_secs_f64(), lines),
         lines,
         paths: paths_since(&mem, before),
     }
+}
+
+/// Chunks alternating between cores 0 and 1, read on core 2.
+fn chunk_edge(reps: u64) -> RegimeResult {
+    chunked_strips("chunk_edge", reps, |i| i % 2, 2)
+}
+
+/// Every chunk and the read on core 0.
+fn chunk_edge_local(reps: u64) -> RegimeResult {
+    chunked_strips("chunk_edge_local", reps, |_| 0, 0)
 }
 
 /// Run every regime at the default rep counts (a few ms each).
@@ -250,6 +272,7 @@ pub fn run_regimes() -> Vec<RegimeResult> {
         poisoned_stream(5_000),
         mixed_fallback(2_000),
         chunk_edge(2_000),
+        chunk_edge_local(2_000),
     ]
 }
 
@@ -278,6 +301,8 @@ mod tests {
         );
         let r = chunk_edge(3);
         assert_eq!(r.lines, 3 * (1024 + 5 + 1024));
+        let r = chunk_edge_local(3);
+        assert_eq!(r.lines, 3 * (1024 + 5 + 1024));
         for r in run_regimes_quick() {
             assert!(r.ns_per_line.is_finite() && r.ns_per_line > 0.0);
         }
@@ -294,9 +319,8 @@ mod tests {
             whole_hit_groups: hit,
             whole_c2c_groups: c2c,
             whole_fill_groups: fill,
-            partial_hit_lines: 0,
-            masked_fill_lines: 0,
             fallback_lines: fallback,
+            ..ExtentStats::default()
         };
         let cases = [
             (hit_replay(reps), paths(groups, 0, 0, 0)),
@@ -318,6 +342,19 @@ mod tests {
             assert!(r.paths.masked_fill_lines > 0, "{:?}", r.paths);
             assert!(r.paths.whole_fill_groups > 0, "{:?}", r.paths);
         }
+        // One core throughout: every one of the five edges per strip is a
+        // prefix fill that splits its block, a boundary-line hit, and a
+        // suffix fill that collapses it; the read then hits all 16
+        // groups whole, and nothing walks.
+        let r = chunk_edge_local(reps);
+        if r.paths.enabled {
+            let edges = reps * 5;
+            assert_eq!(r.paths.prefix_fills, edges, "{:?}", r.paths);
+            assert_eq!(r.paths.split_fills, edges, "{:?}", r.paths);
+            assert_eq!(r.paths.partial_hit_lines, edges, "{:?}", r.paths);
+            assert_eq!(r.paths.whole_hit_groups, groups, "{:?}", r.paths);
+            assert_eq!(r.paths.fallback_lines, 0, "{:?}", r.paths);
+        }
     }
 
     fn run_regimes_quick() -> Vec<RegimeResult> {
@@ -328,6 +365,7 @@ mod tests {
             poisoned_stream(2),
             mixed_fallback(2),
             chunk_edge(2),
+            chunk_edge_local(2),
         ]
     }
 }

@@ -95,15 +95,11 @@ pub struct SetAssocCache {
     /// when the geometry is too small for block-grained state — then
     /// every virtual path below is statically dormant).
     blocks: usize,
-    /// Per-block shared recency word. When `vperm_on[b]` is set, the
-    /// logical recency of **every** set in block `b` is `vperm[b]` and
-    /// the per-set words in `recency` are stale; any per-set recency
-    /// read or write must first call
-    /// [`SetAssocCache::materialize_recency`]. Whole-group fills rotate
-    /// this one word instead of splatting 64.
-    vperm: Box<[u64]>,
-    /// Whether `vperm[b]` (rather than `recency`) is authoritative.
-    vperm_on: Box<[bool]>,
+    /// Per-block state, one [`Block`] per aligned 64-set block: the
+    /// shared recency word(s) of a virtual block, its split, and its
+    /// full-set count — kept together so a block-grained operation
+    /// touches one host cache line of it.
+    blk: Box<[Block]>,
     /// Per-(way, block) reverse map: `group + 1` when the 64 tags of the
     /// way strip are known to be exactly the lines of that aligned
     /// group, else 0. A true-when-nonzero hint: whole-group fills set
@@ -122,23 +118,57 @@ pub struct SetAssocCache {
     /// the hint is live and every set of the block holds the way (a
     /// partial eviction always materializes before clearing a tag).
     vtag_lazy: Box<[bool]>,
-    /// Per-block count of completely full sets; `full_count[b] == 64`
-    /// lets a whole-group fill skip the occupancy probe entirely.
-    full_count: Box<[u32]>,
     /// Access/miss counters.
     pub stats: CacheStats,
 }
 
-/// How [`SetAssocCache::fill_group_virtual`] placed an aligned group.
+/// The block-grained state of one aligned [`BLOCK_SETS`]-set block.
+///
+/// **Virtual recency.** While `virt` holds, the logical recency of
+/// **every** set of the block is `perm` and the per-set words in
+/// `recency` are stale; any per-set recency read or write must first
+/// call [`SetAssocCache::materialize_recency`]. Whole-group fills rotate
+/// this one word instead of splatting 64.
+///
+/// **Split.** A prefix fill `[0, at)` of a virtual block leaves two
+/// pieces with different recency: sets `[0, at)` follow `perm`, sets
+/// `[at, 64)` follow `hi_perm`, and the fill's way strip holds the
+/// prefix group `lo - 1` below `at` (derived when the strip is lazy,
+/// stored raw otherwise) and its old content above. The matching suffix
+/// fill collapses the block back to one piece; anything else
+/// materializes it first. The split way is `perm`'s MRU nibble: nothing
+/// changes `perm` while split without materializing the block first.
+/// Invariants: split ⇒ `virt`, occupancy uniform on each piece; the
+/// split strip is either lazy (hint = the group above `at`) or raw with
+/// no hint.
+#[derive(Debug, Clone, Copy)]
+struct Block {
+    /// The shared recency word (of the prefix piece, if split).
+    perm: u64,
+    /// The recency word of sets `[at, 64)` while split.
+    hi_perm: u64,
+    /// The prefix group + 1 while split.
+    lo: u64,
+    /// Completely full sets; 64 lets a whole-group fill skip the
+    /// occupancy probe entirely.
+    full: u32,
+    /// First set of the upper piece; 0 when unsplit.
+    at: u8,
+    /// Whether `perm` (rather than `recency`) is authoritative.
+    virt: bool,
+}
+
+/// How [`SetAssocCache::fill_group_virtual`] placed a group's run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum VGroupFill {
-    /// Every set of the block was full: the shared recency word rotated
-    /// once and the victim way's whole strip was displaced. `old_group`
-    /// is the displaced group + 1 when the strip was known to hold
-    /// exactly one whole group (one summary decrement suffices), else 0
-    /// and the 64 victim tags were appended to the caller's sink.
+    /// Every set of the run was full: the run's recency word rotated
+    /// once and the victim way's strip was displaced over the run.
+    /// `old_group` is the displaced group + 1 when the strip was known
+    /// to hold one group's lines there (one summary decrement of the
+    /// run's bits suffices), else 0 and the victim tags were appended to
+    /// the caller's sink.
     Rotated { way: u32, old_group: u64 },
-    /// The block had a uniformly empty way: filled it with no evictions.
+    /// The run's sets shared an empty way: filled it with no evictions.
     Fresh { way: u32 },
 }
 
@@ -171,32 +201,84 @@ impl SetAssocCache {
             resident: 0,
             blocks,
             // Every recency word starts at the identity permutation, so
-            // the blocks start virtual: `vperm` agrees with the per-set
+            // the blocks start virtual: `perm` agrees with the per-set
             // words it shadows.
-            vperm: vec![PERM_IDENTITY; blocks].into_boxed_slice(),
-            vperm_on: vec![true; blocks].into_boxed_slice(),
+            blk: vec![
+                Block {
+                    perm: PERM_IDENTITY,
+                    hi_perm: 0,
+                    lo: 0,
+                    full: 0,
+                    at: 0,
+                    virt: true,
+                };
+                blocks
+            ]
+            .into_boxed_slice(),
             vstrip: vec![0u64; blocks * assoc].into_boxed_slice(),
             vtag_lazy: vec![false; blocks * assoc].into_boxed_slice(),
-            full_count: vec![0u32; blocks].into_boxed_slice(),
             stats: CacheStats::default(),
         }
     }
 
-    /// Write the block's shared recency word into its 64 per-set words
-    /// and hand authority back to `recency`. Exact: while `vperm_on[b]`
-    /// held, every set of the block had identical logical recency, so
-    /// the splat reconstructs precisely what the per-set scheme would
-    /// contain.
+    /// Write the block's shared recency word (both pieces' words, if
+    /// split) into its 64 per-set words and hand authority back to
+    /// `recency`; a split block also writes its split strip's derived
+    /// tags and drops the strip's hint, since the strip holds two
+    /// groups. Exact: while the block was virtual, every set of a piece
+    /// had identical logical recency, so the splat reconstructs
+    /// precisely what the per-set scheme would contain.
     #[inline]
     fn materialize_recency(&mut self, b: usize) {
-        if self.vperm_on[b] {
-            self.vperm_on[b] = false;
-            let p = self.vperm[b];
+        if self.blk[b].virt {
+            let sp = self.blk[b];
+            self.blk[b].virt = false;
+            self.blk[b].at = 0;
+            let at = match sp.at {
+                0 => BLOCK_SETS,
+                at => at as usize,
+            };
             let s0 = b << BLOCK_SHIFT;
-            for r in &mut self.recency[s0..s0 + BLOCK_SETS] {
-                *r = p;
+            self.recency[s0..s0 + at].fill(sp.perm);
+            self.recency[s0 + at..s0 + BLOCK_SETS].fill(sp.hi_perm);
+            if sp.at != 0 {
+                let way = (sp.perm & 0xF) as usize;
+                let strip = way * self.blocks + b;
+                if self.vtag_lazy[strip] {
+                    self.vtag_lazy[strip] = false;
+                    let (lo, hi) = (
+                        (sp.lo - 1) << BLOCK_SHIFT,
+                        (self.vstrip[strip] - 1) << BLOCK_SHIFT,
+                    );
+                    let base = (way << self.set_shift) | s0;
+                    for (j, t) in self.tags[base..base + BLOCK_SETS].iter_mut().enumerate() {
+                        *t = if j < at { lo } else { hi } + j as u64;
+                    }
+                }
+                self.vstrip[strip] = 0;
             }
         }
+    }
+
+    /// The shared recency word of virtual block `b` at block offset `j`,
+    /// and the end of the piece holding `j`.
+    #[inline]
+    fn piece(&self, b: usize, j: usize) -> (u64, usize) {
+        let blk = &self.blk[b];
+        match blk.at as usize {
+            0 => (blk.perm, BLOCK_SETS),
+            at if j < at => (blk.perm, at),
+            _ => (blk.hi_perm, BLOCK_SETS),
+        }
+    }
+
+    /// Split virtual block `b` after a prefix fill of `at` sets (prefix
+    /// group `lo - 1`), which moved the prefix piece's word on from
+    /// `hi_perm`.
+    #[inline]
+    fn split(&mut self, b: usize, at: usize, lo: u64, hi_perm: u64) {
+        let blk = &mut self.blk[b];
+        (blk.at, blk.lo, blk.hi_perm) = (at as u8, lo, hi_perm);
     }
 
     /// Materialize the block covering `set`, if block state exists.
@@ -223,9 +305,13 @@ impl SetAssocCache {
     /// hint itself survives: the strip still holds exactly that group.
     /// Exact by the lazy invariant — while the flag held, the strip's
     /// logical content *was* this iota, so the store reconstructs
-    /// precisely what the eager fill would have written.
+    /// precisely what the eager fill would have written. A split block
+    /// is materialized whole first: its split strip derives two groups.
     #[inline]
     fn materialize_strip_tags(&mut self, way: usize, b: usize) {
+        if self.blk[b].at != 0 {
+            self.materialize_recency(b);
+        }
         let strip = way * self.blocks + b;
         if self.vtag_lazy[strip] {
             self.vtag_lazy[strip] = false;
@@ -255,20 +341,14 @@ impl SetAssocCache {
     /// line of a lazy strip.
     #[inline]
     fn logical_tag(&self, way: usize, set: usize) -> u64 {
-        if self.blocks != 0 {
-            let strip = way * self.blocks + (set >> BLOCK_SHIFT);
-            if self.vtag_lazy[strip] {
-                return ((self.vstrip[strip] - 1) << BLOCK_SHIFT) | (set & (BLOCK_SETS - 1)) as u64;
-            }
-        }
-        self.tags[self.slot(way, set)]
+        self.tag_at(self.slot(way, set) as u32)
     }
 
     /// A set just transitioned empty-slot → full.
     #[inline]
     fn note_set_filled(&mut self, set: usize) {
         if self.blocks != 0 {
-            self.full_count[set >> BLOCK_SHIFT] += 1;
+            self.blk[set >> BLOCK_SHIFT].full += 1;
         }
     }
 
@@ -276,7 +356,7 @@ impl SetAssocCache {
     #[inline]
     fn note_set_unfilled(&mut self, set: usize) {
         if self.blocks != 0 {
-            self.full_count[set >> BLOCK_SHIFT] -= 1;
+            self.blk[set >> BLOCK_SHIFT].full -= 1;
         }
     }
 
@@ -490,35 +570,59 @@ impl SetAssocCache {
         evictions
     }
 
-    /// Fill an aligned, wholly absent [`BLOCK_SETS`]-line group through
-    /// the block-grained virtual path, if the block's state permits:
-    /// the block's recency must be (or re-converge to) one shared word,
-    /// and its occupancy must be uniform. Returns `None` when it
-    /// doesn't — the caller falls back to the materialized
-    /// [`SetAssocCache::fill_run`].
+    /// Fill `n` wholly absent lines from `first`, inside one aligned
+    /// [`BLOCK_SETS`]-line group, through the block-grained virtual path
+    /// if the run's shape and the block's state permit. Returns `None`
+    /// when they don't — the caller falls back to the materialized
+    /// [`SetAssocCache::fill_run`]. Three shapes qualify:
     ///
-    /// The point is what the fast arm *doesn't* touch: no per-set
-    /// recency traffic (one rotation of `vperm[b]`), no occupancy
-    /// probe (`full_count[b]` already proves every set full), and — when
-    /// the victim strip's [`SetAssocCache::vstrip`] hint is live — not a
-    /// single victim tag read. The per-set outcome is bit-identical to
-    /// 64 consecutive [`SetAssocCache::fill_absent`] calls: with every
-    /// set full and sharing recency word `p`, each call would pick the
-    /// same victim way (`p`'s last active nibble) and write the same
-    /// rotation `(p << 4) | way`; with a uniformly non-full block, each
-    /// would pick the same first-empty way and promote it to MRU.
+    /// * the whole group, into a block whose recency is (or re-converges
+    ///   to) one shared word and whose occupancy is uniform;
+    /// * a prefix `[0, at)` into such a block, which splits it: the
+    ///   prefix piece takes the updated word, the rest keeps the old one
+    ///   (see [`Block`]);
+    /// * the suffix `[at, 64)` of the same group into a block split at
+    ///   `at`, which collapses it back to one piece.
+    ///
+    /// The point is what the fast arms *don't* touch: no per-set recency
+    /// traffic (one rotation of a shared word), no occupancy probe when
+    /// the block's full-set count proves every set full, and — when the
+    /// victim strip's [`SetAssocCache::vstrip`] hint is live — not a
+    /// single victim tag read or tag store. The per-set outcome is
+    /// bit-identical to [`SetAssocCache::fill_absent`] line by line:
+    /// with every set of the run full and sharing recency word `p`, each
+    /// call would pick the same victim way (`p`'s last active nibble)
+    /// and write the same rotation `(p << 4) | way`; with a uniformly
+    /// non-full run, each would pick the same first-empty way and
+    /// promote it to MRU. The suffix meets exactly the state the prefix
+    /// left above the split (nothing else touched it), so it picks the
+    /// prefix's way and reaches the prefix's word, and the strip then
+    /// holds the one group throughout.
+    #[inline(always)]
     pub(crate) fn fill_group_virtual(
         &mut self,
         first: LineAddr,
+        n: usize,
         victims: &mut Vec<u64>,
     ) -> Option<VGroupFill> {
         if self.blocks == 0 {
             return None;
         }
-        debug_assert_eq!(first.0 & (BLOCK_SETS as u64 - 1), 0);
         let set0 = (first.0 & self.set_mask) as usize;
-        let b = set0 >> BLOCK_SHIFT;
-        if !self.vperm_on[b] {
+        let (b, j0) = (set0 >> BLOCK_SHIFT, set0 & (BLOCK_SETS - 1));
+        debug_assert!(n >= 1 && j0 + n <= BLOCK_SETS);
+        let group1 = (first.0 >> BLOCK_SHIFT) + 1;
+        if self.blk[b].at != 0 {
+            let sp = self.blk[b];
+            if j0 == sp.at as usize && j0 + n == BLOCK_SETS && sp.lo == group1 {
+                return Some(self.fill_suffix(b, group1, victims));
+            }
+            self.materialize_recency(b);
+        }
+        if j0 != 0 {
+            return None;
+        }
+        if !self.blk[b].virt {
             // Re-virtualize when the block's per-set words have
             // re-converged (first==last probe guards the full scan).
             let p0 = self.recency[set0];
@@ -529,35 +633,48 @@ impl SetAssocCache {
             {
                 return None;
             }
-            self.vperm[b] = p0;
-            self.vperm_on[b] = true;
+            self.blk[b].perm = p0;
+            self.blk[b].virt = true;
         }
-        if self.full_count[b] == BLOCK_SETS as u32 {
+        let perm = self.blk[b].perm;
+        if self.blk[b].full == BLOCK_SETS as u32 {
             debug_assert!(
                 self.occ[set0..set0 + BLOCK_SETS]
                     .iter()
                     .all(|&o| o == self.full_mask),
-                "full_count out of sync with occupancy"
+                "full-set count out of sync with occupancy"
             );
-            let perm = self.vperm[b];
             let way = ((perm >> (4 * (self.assoc - 1))) & 0xF) as usize;
             debug_assert!(way < self.assoc, "victim nibble out of range");
-            self.vperm[b] = (perm << 4) | way as u64;
+            self.blk[b].perm = (perm << 4) | way as u64;
             let strip = way * self.blocks + b;
             let old = self.vstrip[strip];
-            if old == 0 {
-                // No hint ⇒ not lazy (the lazy invariant), so the raw
-                // victim tags are authoritative.
-                debug_assert!(!self.vtag_lazy[strip], "lazy strip without a hint");
-                let base = (way << self.set_shift) | set0;
-                victims.extend_from_slice(&self.tags[base..base + BLOCK_SETS]);
+            if n == BLOCK_SETS {
+                if old == 0 {
+                    // No hint ⇒ not lazy (the lazy invariant), so the raw
+                    // victim tags are authoritative.
+                    let base = (way << self.set_shift) | set0;
+                    victims.extend_from_slice(&self.tags[base..base + BLOCK_SETS]);
+                }
+                // No tag stores at all: the strip's 64 logical tags are
+                // the group iota, derived from the hint until something
+                // disturbs the strip. This is the fill path's dominant
+                // memory traffic (512 B per group) gone from the
+                // streaming steady state.
+                self.vstrip[strip] = group1;
+                self.vtag_lazy[strip] = true;
+            } else {
+                self.split(b, n, group1, perm);
+                if old != 0 {
+                    // A hinted strip (lazy, or raw iota of one group):
+                    // the victims are that group's run, and the strip's
+                    // tags become derived — the prefix group below `n`,
+                    // the hint above.
+                    self.vtag_lazy[strip] = true;
+                } else {
+                    self.store_run(way, set0, n, first.0, Some(victims));
+                }
             }
-            // No tag stores at all: the strip's 64 logical tags are the
-            // group iota, derived from the hint until something disturbs
-            // the strip. This is the fill path's dominant memory traffic
-            // (512 B per group) gone from the streaming steady state.
-            self.vstrip[strip] = (first.0 >> BLOCK_SHIFT) + 1;
-            self.vtag_lazy[strip] = true;
             Some(VGroupFill::Rotated {
                 way: way as u32,
                 old_group: old,
@@ -571,26 +688,96 @@ impl SetAssocCache {
                 return None;
             }
             let way = (!occ0 & self.full_mask).trailing_zeros() as usize;
-            #[cfg(debug_assertions)]
-            {
-                let base = (way << self.set_shift) | set0;
-                for t in &self.tags[base..base + BLOCK_SETS] {
-                    debug_assert_eq!(*t, TAG_INVALID, "fill into an occupied way");
-                }
+            self.occupy(set0, n, way);
+            self.blk[b].perm = Self::promote_word(perm, way as u64);
+            if n == BLOCK_SETS {
+                let strip = way * self.blocks + b;
+                self.vstrip[strip] = group1;
+                self.vtag_lazy[strip] = true;
+            } else {
+                // The way is empty across the block: no hint, raw stores.
+                self.split(b, n, group1, perm);
+                self.store_run(way, set0, n, first.0, None);
             }
-            let nocc = occ0 | (1 << way);
-            for o in &mut self.occ[set0..set0 + BLOCK_SETS] {
-                *o = nocc;
-            }
-            if nocc == self.full_mask {
-                self.full_count[b] += BLOCK_SETS as u32;
-            }
-            self.resident += BLOCK_SETS as u64;
-            self.vperm[b] = Self::promote_word(self.vperm[b], way as u64);
-            let strip = way * self.blocks + b;
-            self.vstrip[strip] = (first.0 >> BLOCK_SHIFT) + 1;
-            self.vtag_lazy[strip] = true;
             Some(VGroupFill::Fresh { way: way as u32 })
+        }
+    }
+
+    /// The suffix `[at, 64)` of a split block's prefix group: the upper
+    /// piece meets the state the prefix met, so it picks the prefix's
+    /// way and its word re-converges with the prefix piece's.
+    #[inline(never)]
+    fn fill_suffix(&mut self, b: usize, group1: u64, victims: &mut Vec<u64>) -> VGroupFill {
+        let sp = self.blk[b];
+        self.blk[b].at = 0;
+        let (at, way) = (sp.at as usize, (sp.perm & 0xF) as usize);
+        let set0 = (b << BLOCK_SHIFT) + at;
+        let (n, line0) = (BLOCK_SETS - at, ((group1 - 1) << BLOCK_SHIFT) + at as u64);
+        let strip = way * self.blocks + b;
+        let (nperm, placed) = if self.occ[set0] == self.full_mask {
+            debug_assert_eq!(((sp.hi_perm >> (4 * (self.assoc - 1))) & 0xF) as usize, way);
+            let old = if self.vtag_lazy[strip] {
+                self.vstrip[strip]
+            } else {
+                self.store_run(way, set0, n, line0, Some(victims));
+                0
+            };
+            let placed = VGroupFill::Rotated {
+                way: way as u32,
+                old_group: old,
+            };
+            ((sp.hi_perm << 4) | way as u64, placed)
+        } else {
+            debug_assert_eq!(
+                (!self.occ[set0] & self.full_mask).trailing_zeros() as usize,
+                way
+            );
+            self.occupy(set0, n, way);
+            self.store_run(way, set0, n, line0, None);
+            (
+                Self::promote_word(sp.hi_perm, way as u64),
+                VGroupFill::Fresh { way: way as u32 },
+            )
+        };
+        debug_assert_eq!(nperm, sp.perm, "split pieces failed to re-converge");
+        // The strip now holds the one group throughout: derived (lazy)
+        // or stored (raw iota) — either way the hint is true.
+        self.vstrip[strip] = group1;
+        placed
+    }
+
+    /// Take `way` at the `n` sets from `set0`, all of which share one
+    /// non-full occupancy mask with `way` empty.
+    fn occupy(&mut self, set0: usize, n: usize, way: usize) {
+        #[cfg(debug_assertions)]
+        for t in &self.tags[self.slot(way, set0)..self.slot(way, set0) + n] {
+            debug_assert_eq!(*t, TAG_INVALID, "fill into an occupied way");
+        }
+        let nocc = self.occ[set0] | (1 << way);
+        self.occ[set0..set0 + n].fill(nocc);
+        if nocc == self.full_mask {
+            self.blk[set0 >> BLOCK_SHIFT].full += n as u32;
+        }
+        self.resident += n as u64;
+    }
+
+    /// Store lines `line0..line0 + n` raw at `way` over the `n` sets from
+    /// `set0`, first appending the displaced tags to `victims` if given.
+    fn store_run(
+        &mut self,
+        way: usize,
+        set0: usize,
+        n: usize,
+        line0: u64,
+        victims: Option<&mut Vec<u64>>,
+    ) {
+        let base = self.slot(way, set0);
+        let run = &mut self.tags[base..base + n];
+        if let Some(v) = victims {
+            v.extend_from_slice(run);
+        }
+        for (k, t) in run.iter_mut().enumerate() {
+            *t = line0 + k as u64;
         }
     }
 
@@ -603,7 +790,10 @@ impl SetAssocCache {
     /// all equal (the replay steady state) the promotion is computed
     /// once and splatted — and when the run is a whole block still under
     /// its shared virtual word, the promotion is one update of that
-    /// word, with no per-set traffic at all.
+    /// word, with no per-set traffic at all. A run inside one piece of a
+    /// virtual block whose MRU is already `way` (the boundary line of
+    /// two chunks, re-read right after the first chunk filled it) is a
+    /// no-op: promoting the MRU leaves a recency word unchanged.
     #[inline]
     pub(crate) fn promote_uniform(&mut self, first: LineAddr, way: u64, n: usize) {
         debug_assert!((way as usize) < self.assoc);
@@ -613,9 +803,15 @@ impl SetAssocCache {
             let chunk = (n - done).min(self.sets - set0);
             if self.blocks != 0 {
                 let b = set0 >> BLOCK_SHIFT;
-                if chunk == BLOCK_SETS && set0 & (BLOCK_SETS - 1) == 0 && self.vperm_on[b] {
+                let (j, blk) = (set0 & (BLOCK_SETS - 1), &mut self.blk[b]);
+                if blk.virt && blk.at == 0 && chunk == BLOCK_SETS && j == 0 {
                     // Whole aligned block, still virtual: one word.
-                    self.vperm[b] = Self::promote_word(self.vperm[b], way);
+                    blk.perm = Self::promote_word(blk.perm, way);
+                    done += chunk;
+                    continue;
+                }
+                let (word, end) = self.piece(b, j);
+                if self.blk[b].virt && j + chunk <= end && word & 0xF == way {
                     done += chunk;
                     continue;
                 }
@@ -682,7 +878,7 @@ impl SetAssocCache {
                 }
                 if self.blocks != 0 {
                     let b = s >> BLOCK_SHIFT;
-                    self.full_count[b] -= lost;
+                    self.blk[b].full -= lost;
                     self.vstrip[(way as usize) * self.blocks + b] = 0;
                 }
                 s = sub;
@@ -847,18 +1043,26 @@ impl SetAssocCache {
     pub(crate) fn tag_at(&self, slot: u32) -> u64 {
         debug_assert!((slot as usize) < self.tags.len());
         let i = slot as usize;
-        // SAFETY (both `get_unchecked` blocks): directory entries are
-        // only ever written as `pack(core, slot)` with a slot returned
-        // by this cache's own fill path, and every cache in a system has
-        // the same geometry — so a recorded slot (even a stale one) is
-        // always within `tags`, and its `(way, block)` strip index is
+        // SAFETY (all `get_unchecked` calls): directory entries are only
+        // ever written as `pack(core, slot)` with a slot of this
+        // geometry, and every cache in a system has the same geometry —
+        // so a recorded slot (even a stale one) is always within `tags`,
+        // its block within `blk`, and its `(way, block)` strip index
         // within `vtag_lazy`/`vstrip`.
         if self.blocks != 0 {
-            let set = i & (self.sets - 1);
-            let strip = (i >> self.set_shift) * self.blocks + (set >> BLOCK_SHIFT);
+            let (way, set) = (i >> self.set_shift, i & (self.sets - 1));
+            let (b, j) = (set >> BLOCK_SHIFT, set & (BLOCK_SETS - 1));
+            let strip = way * self.blocks + b;
             if unsafe { *self.vtag_lazy.get_unchecked(strip) } {
-                let first = (unsafe { *self.vstrip.get_unchecked(strip) } - 1) << BLOCK_SHIFT;
-                return first | (set & (BLOCK_SETS - 1)) as u64;
+                // Derived: the split strip's prefix group below the split
+                // point, else the hinted group.
+                let blk = unsafe { self.blk.get_unchecked(b) };
+                let group1 = if j < blk.at as usize && way as u64 == blk.perm & 0xF {
+                    blk.lo
+                } else {
+                    unsafe { *self.vstrip.get_unchecked(strip) }
+                };
+                return ((group1 - 1) << BLOCK_SHIFT) | j as u64;
             }
         }
         unsafe { *self.tags.get_unchecked(i) }
@@ -919,9 +1123,11 @@ impl SetAssocCache {
     }
 
     /// Verify the block-grained derived state against the ground truth
-    /// (tags and occupancy): `full_count` equals the census of full
-    /// sets, and every live `vstrip` hint's strip holds exactly the
-    /// claimed group's lines. O(sets × assoc); invariant checks only.
+    /// (tags and occupancy): the full-set count equals the census of full
+    /// sets, every live `vstrip` hint's strip holds exactly the claimed
+    /// group's lines, and a split block keeps the split encoding (see
+    /// [`Block`]). O(sets × assoc); invariant checks
+    /// only.
     pub(crate) fn check_block_invariants(&self) {
         for b in 0..self.blocks {
             let s0 = b << BLOCK_SHIFT;
@@ -930,9 +1136,34 @@ impl SetAssocCache {
                 .filter(|&&o| o == self.full_mask)
                 .count() as u32;
             assert_eq!(
-                self.full_count[b], full,
-                "block {b}: full_count != full-set census"
+                self.blk[b].full, full,
+                "block {b}: full-set count != full-set census"
             );
+            let sp = self.blk[b];
+            if sp.at != 0 {
+                let (at, way) = (sp.at as usize, (sp.perm & 0xF) as usize);
+                assert!(sp.virt, "split block {b} not virtual");
+                assert!(at < BLOCK_SETS && way < self.assoc && sp.lo != 0);
+                for (j, &o) in self.occ[s0..s0 + BLOCK_SETS].iter().enumerate() {
+                    let piece0 = if j < at { s0 } else { s0 + at };
+                    assert_eq!(
+                        o, self.occ[piece0],
+                        "block {b}: piece occupancy not uniform"
+                    );
+                    assert!(
+                        j >= at || o & (1 << way) != 0,
+                        "block {b}: prefix not resident"
+                    );
+                }
+                let strip = way * self.blocks + b;
+                if !self.vtag_lazy[strip] {
+                    assert_eq!(self.vstrip[strip], 0, "raw split strip (block {b}) hinted");
+                    let base = (way << self.set_shift) | s0;
+                    for j in 0..at {
+                        assert_eq!(self.tags[base + j], ((sp.lo - 1) << BLOCK_SHIFT) + j as u64);
+                    }
+                }
+            }
             for way in 0..self.assoc {
                 let strip = way * self.blocks + b;
                 let claim = self.vstrip[strip];
@@ -991,10 +1222,12 @@ mod tests {
     }
 
     /// Apply one random state-building op: `kind` picks a ranged insert,
-    /// a whole-group virtual fill, an invalidation or a promotion over
-    /// `[start, start + len)`. Invalidations and promotions take the
-    /// batched same-way path when every line of a short range sits at
-    /// one way, so lazy strips get both kept and disturbed.
+    /// a virtual fill (a whole group, or a group's prefix then — for odd
+    /// `len` — its suffix, splitting and collapsing the block), an
+    /// invalidation or a promotion over `[start, start + len)`.
+    /// Invalidations and promotions take the batched same-way path when
+    /// every line of a short range sits at one way, so lazy strips and
+    /// split blocks get both kept and disturbed.
     fn apply_op(c: &mut SetAssocCache, kind: u8, start: u64, len: u64) {
         match kind {
             0 => {
@@ -1004,10 +1237,21 @@ mod tests {
             }
             1 => {
                 let g = start & !(BLOCK_SETS as u64 - 1);
-                if (g..g + BLOCK_SETS as u64).all(|l| way_of(c, l).is_none()) {
-                    let mut sink = Vec::new();
-                    if c.fill_group_virtual(LineAddr(g), &mut sink).is_none() {
-                        c.fill_run::<true>(LineAddr(g), &mut [0u32; BLOCK_SETS], 0, &mut sink);
+                let at = (start - g) as usize;
+                let runs: &[(usize, usize)] = match (at, len % 2) {
+                    (0, _) => &[(0, BLOCK_SETS)],
+                    (_, 0) => &[(0, at)],
+                    _ => &[(0, at), (at, BLOCK_SETS - at)],
+                };
+                for &(j, n) in runs {
+                    let first = g + j as u64;
+                    if (first..first + n as u64).all(|l| way_of(c, l).is_none()) {
+                        let mut sink = Vec::new();
+                        if c.fill_group_virtual(LineAddr(first), n, &mut sink)
+                            .is_none()
+                        {
+                            c.fill_run::<true>(LineAddr(first), &mut vec![0u32; n], 0, &mut sink);
+                        }
                     }
                 }
             }
@@ -1058,14 +1302,14 @@ mod tests {
             recency: (0..c.sets)
                 .map(|s| {
                     let b = s >> BLOCK_SHIFT;
-                    if c.blocks != 0 && c.vperm_on[b] {
-                        c.vperm[b]
+                    if c.blocks != 0 && c.blk[b].virt {
+                        c.piece(b, s & (BLOCK_SETS - 1)).0
                     } else {
                         c.recency[s]
                     }
                 })
                 .collect(),
-            full_count: c.full_count.to_vec(),
+            full_count: c.blk.iter().map(|b| b.full).collect(),
             vstrip: c.vstrip.to_vec(),
             resident: c.resident,
         }
@@ -1119,6 +1363,114 @@ mod tests {
             prop_assert_eq!(&entries, &want_entries);
             prop_assert!(logical_state(&c) == logical_state(&per_line), "cache state diverged");
         }
+    }
+
+    proptest! {
+        /// The virtual fills — a whole group, a prefix that splits its
+        /// block, the suffix that collapses it — are exactly the per-line
+        /// fill wherever they engage: same logical tags, occupancy,
+        /// recency, full-set counts and residency, and the same victims
+        /// (a hinted strip's, read off its hint). The prefix/suffix pair
+        /// then leaves the block one piece again.
+        #[test]
+        fn virtual_fills_match_per_line_fills(
+            sets in prop_oneof![Just(64usize), Just(128usize)],
+            assoc in 1usize..9,
+            ops in proptest::collection::vec((0u8..4, 0u64..4096, 1u64..160), 0..48),
+            group in 0u64..2,
+            at in 0usize..64
+        ) {
+            let mut c = SetAssocCache::new(sets, assoc);
+            for &(kind, start, len) in &ops {
+                apply_op(&mut c, kind, start, len);
+            }
+            let g = (1 << 14) + group;
+            let runs = if at == 0 { vec![(0, BLOCK_SETS)] } else { vec![(0, at), (at, BLOCK_SETS - at)] };
+            for (j, n) in runs {
+                let first = LineAddr((g << BLOCK_SHIFT) + j as u64);
+                let mut per_line = c.clone();
+                let mut victims = Vec::new();
+                let placed = c.fill_group_virtual(first, n, &mut victims);
+                let mut want_victims = Vec::new();
+                for k in 0..n as u64 {
+                    want_victims.extend(per_line.fill_absent(LineAddr(first.0 + k)).1.map(|v| v.0));
+                }
+                c.check_block_invariants();
+                let Some(placed) = placed else {
+                    // Declined: the caller's `fill_run` takes over.
+                    c.fill_run::<true>(first, &mut vec![0u32; n], 0, &mut victims);
+                    continue;
+                };
+                if let VGroupFill::Rotated { old_group, .. } = placed {
+                    if old_group != 0 {
+                        prop_assert!(victims.is_empty());
+                        let old = (old_group - 1) << BLOCK_SHIFT;
+                        victims.extend((j..j + n).map(|k| old + k as u64));
+                    }
+                } else {
+                    prop_assert!(victims.is_empty());
+                }
+                prop_assert_eq!(&victims, &want_victims);
+                let (a, b) = (logical_state(&c), logical_state(&per_line));
+                prop_assert!(a.tags == b.tags && a.occ == b.occ && a.recency == b.recency, "cache state diverged");
+                prop_assert!(a.full_count == b.full_count && a.resident == b.resident);
+                if j != 0 {
+                    prop_assert_eq!(c.blk[(first.0 as usize & (sets - 1)) >> BLOCK_SHIFT].at, 0, "suffix left the block split");
+                }
+            }
+        }
+
+        /// The batched same-way promotion — with its virtual arms, the
+        /// one-word whole-block update and the no-op inside a piece
+        /// whose MRU is already the way — is exactly the per-line
+        /// promotion, on runs of up to 160 lines that cross blocks.
+        #[test]
+        fn promote_uniform_matches_per_line_promotes(
+            sets in prop_oneof![Just(64usize), Just(128usize)],
+            assoc in 1usize..9,
+            ops in proptest::collection::vec((0u8..4, 0u64..4096, 1u64..160), 0..48),
+            start in 0u64..4096,
+            len in 1u64..160
+        ) {
+            let mut c = SetAssocCache::new(sets, assoc);
+            for &(kind, start, len) in &ops {
+                apply_op(&mut c, kind, start, len);
+            }
+            // The longest same-way run, up to `len` lines, from the first
+            // resident line at or after `start`.
+            let Some(first) = (start..start + 4096).find(|&l| way_of(&c, l).is_some()) else {
+                return Ok(());
+            };
+            let way = way_of(&c, first);
+            let n = (0..len).take_while(|&k| way_of(&c, first + k) == way).count();
+            let (way, mut per_line) = (way.unwrap(), c.clone());
+            c.promote_uniform(LineAddr(first), way as u64, n);
+            for k in 0..n as u64 {
+                per_line.promote(((first + k) & c.set_mask) as usize, way);
+            }
+            c.check_block_invariants();
+            prop_assert!(logical_state(&c) == logical_state(&per_line), "cache state diverged");
+        }
+    }
+
+    #[test]
+    fn promote_uniform_across_blocks_updates_each_block() {
+        // Two virtual blocks holding groups 0 and 1 at way 0; block 1
+        // then takes group 3 at way 1, so only block 0 has way 0 as its
+        // MRU. A way-0 run from block 0 into block 1 is a no-op in the
+        // first block but a real promotion in the second.
+        let mut c = SetAssocCache::new(128, 2);
+        for g in [0u64, 1, 3] {
+            let placed =
+                c.fill_group_virtual(LineAddr(g << BLOCK_SHIFT), BLOCK_SETS, &mut Vec::new());
+            assert!(placed.is_some(), "pristine blocks fill virtually");
+        }
+        let mut per_line = c.clone();
+        c.promote_uniform(LineAddr(10), 0, 90);
+        for l in 10..100 {
+            per_line.promote(l as usize, 0);
+        }
+        assert!(logical_state(&c) == logical_state(&per_line));
     }
 
     #[test]

@@ -17,7 +17,6 @@
 //! bit  7       uniform all resident lines owned by `owner` at way `way`
 //! bits 8..=15  way     the uniform way (meaningful only when uniform)
 //! bits 16..=23 owner   the uniform owning core (meaningful only when uniform)
-//! bit  24      virtual the group's directory span was never written
 //! ```
 //!
 //! Alongside the word, each group carries a 64-bit **residency mask**
@@ -30,30 +29,29 @@
 //! into alternating runs by word operations — no per-line directory
 //! traffic in any of those cases.
 //!
-//! A **virtual** group is one the whole-group fill placed without
-//! writing its 64 directory entries: the summary word itself is the
-//! directory for the group (owner and way determine every line's slot,
-//! since line `L` lives at set `L mod sets`). The flag is only ever set
-//! together with `count == GROUP_LINES && uniform`, and any operation
-//! that would partially disturb the group — a per-line eviction of one
-//! of its lines, or a partial migration — must *materialize* it first:
-//! write the directory span the eager fill would have written (same
-//! formula, `pack(owner, (way << set_shift) | set)`), clear the flag,
-//! and only then decrement. Whole-group transitions (a wholesale
-//! re-migration or a whole-strip eviction) clear the word outright and
-//! never need the span. The tag arrays remain ground truth throughout —
-//! a virtual group's tags are written normally — so residency checks
-//! and the oracle's hit detection never consult the flag.
+//! **The summary is the directory of a uniform group.** Its resident
+//! lines are its mask bits, all in `owner`'s cache at `way`, and line
+//! `L` lives at set `L mod sets` — so slot `(way << set_shift) | set` is
+//! implied, and the mask-path fills leave the group's directory span
+//! unwritten. The span is written from the summary (mask bits only) and
+//! `uniform` cleared in exactly two cases: a fill is about to break the
+//! group's uniformity ([`ExtentMap::apply_fills`] hands the caller the
+//! lines to write), or the exact walk is about to read the group's
+//! entries ([`ExtentMap::take_uniform`]). Evictions and invalidations
+//! only clear mask bits, so they never need the span. Stale directory
+//! entries are harmless throughout: every directory read is validated
+//! against the owning cache's tags, which remain ground truth.
 //!
 //! The counts are **exact**, not hints: every fill increments and every
 //! eviction or invalidation decrements, at every mutation site of the
 //! memory system (`touch`, `touch_reference`, `fill`, `preload`). The
 //! `uniform` bit is *sound but conservative*: set only while every fill
-//! has matched the recorded `(owner, way)`, cleared on any mismatch, and
-//! re-seeded when the count returns to zero — so `uniform && count ==
-//! GROUP_LINES` proves "the whole group is live in `owner`'s cache at
-//! `way`", which is the only state the fast paths consume. A cleared
-//! bit merely costs a fallback to the exact walk.
+//! has matched the recorded `(owner, way)`, cleared on any mismatch or
+//! when the exact walk takes the group over, and re-seeded when the
+//! count returns to zero — so `uniform && count == GROUP_LINES` proves
+//! "the whole group is live in `owner`'s cache at `way`", which is the
+//! only state the fast paths consume. A cleared bit merely costs a
+//! fallback to the exact walk.
 //!
 //! Exactness leans on one geometric invariant, asserted by the memory
 //! system before it enables summaries: caches have at least
@@ -71,7 +69,6 @@ pub(crate) const GROUP_MASK: u64 = GROUP_LINES - 1;
 
 const COUNT_MASK: u32 = 0x7F;
 const UNIFORM: u32 = 1 << 7;
-const VIRTUAL: u32 = 1 << 24;
 
 /// What the summary word proves about a group, as consumed by the touch
 /// fast paths.
@@ -80,9 +77,7 @@ pub(crate) enum GroupState {
     /// No line of the group is resident anywhere.
     Empty,
     /// Every line of the group is resident in `owner`'s cache at `way`.
-    /// `virt` marks a group whose directory span was never written (the
-    /// summary is its directory; see the module docs).
-    Whole { owner: u32, way: u32, virt: bool },
+    Whole { owner: u32, way: u32 },
     /// Partially resident, or resident but not provably uniform.
     Mixed,
 }
@@ -126,97 +121,10 @@ impl ExtentMap {
             GroupState::Whole {
                 owner: (w >> 16) & 0xFF,
                 way: (w >> 8) & 0xFF,
-                virt: w & VIRTUAL != 0,
             }
         } else {
             GroupState::Mixed
         }
-    }
-
-    /// The `(owner, way)` of a *virtual* whole group, `None` otherwise.
-    #[inline]
-    pub(crate) fn virtual_info(&self, group: u64) -> Option<(u32, u32)> {
-        let w = *self.words.get(group as usize)?;
-        (w & VIRTUAL != 0).then_some(((w >> 16) & 0xFF, (w >> 8) & 0xFF))
-    }
-
-    /// Record a whole group placed by the virtual fill path: wholly
-    /// resident in `owner`'s cache at `way`, directory span unwritten.
-    #[inline]
-    pub(crate) fn seed_virtual(&mut self, group: u64, owner: u32, way: u32) {
-        let (w, mask) = self.state_mut(group);
-        debug_assert_eq!(*w & COUNT_MASK, 0, "virtual seed of a non-empty group");
-        debug_assert_eq!(*mask, 0);
-        *w = word_of(GROUP_LINES as u32, true, owner, way) | VIRTUAL;
-        *mask = u64::MAX;
-    }
-
-    /// Take the `(owner, way)` of a virtual group, clearing its flag —
-    /// the immediate-materialization twin of the queued demotion below,
-    /// for callers holding no directory borrow.
-    #[inline]
-    pub(crate) fn take_virtual(&mut self, group: u64) -> Option<(u32, u32)> {
-        let w = self.word_mut(group);
-        if *w & VIRTUAL != 0 {
-            let info = ((*w >> 16) & 0xFF, (*w >> 8) & 0xFF);
-            *w &= !VIRTUAL;
-            Some(info)
-        } else {
-            None
-        }
-    }
-
-    /// If `group` is virtual, queue it for directory materialization
-    /// (the caller writes the span once its borrows allow, and always
-    /// before the next classification) and clear the flag — the
-    /// summary stops being the group's directory the moment wholeness
-    /// is about to break.
-    #[inline]
-    fn demote_virtual(&mut self, group: u64, pending: &mut Vec<(u64, u32, u32)>) {
-        let w = self.word_mut(group);
-        if *w & VIRTUAL != 0 {
-            pending.push((group, (*w >> 16) & 0xFF, (*w >> 8) & 0xFF));
-            *w &= !VIRTUAL;
-        }
-    }
-
-    /// [`ExtentMap::note_evict`] for a line that may belong to a virtual
-    /// group: demote-and-queue before the decrement.
-    #[inline]
-    pub(crate) fn note_evict_virtual(&mut self, line: u64, pending: &mut Vec<(u64, u32, u32)>) {
-        let group = line >> GROUP_SHIFT;
-        self.demote_virtual(group, pending);
-        self.apply_evicts(group, 1, 1u64 << (line & GROUP_MASK));
-    }
-
-    /// [`ExtentMap::note_evicts`] with the virtual demotion of
-    /// [`ExtentMap::note_evict_virtual`] applied once per victim group.
-    #[inline]
-    pub(crate) fn note_evicts_virtual(
-        &mut self,
-        victims: &[u64],
-        pending: &mut Vec<(u64, u32, u32)>,
-    ) {
-        let mut i = 0usize;
-        while i < victims.len() {
-            let group = victims[i] >> GROUP_SHIFT;
-            let mut n = 1u32;
-            let mut bits = 1u64 << (victims[i] & GROUP_MASK);
-            while i + (n as usize) < victims.len()
-                && victims[i + n as usize] >> GROUP_SHIFT == group
-            {
-                bits |= 1u64 << (victims[i + n as usize] & GROUP_MASK);
-                n += 1;
-            }
-            self.demote_virtual(group, pending);
-            self.apply_evicts(group, n, bits);
-            i += n as usize;
-        }
-    }
-
-    #[inline]
-    fn word_mut(&mut self, group: u64) -> &mut u32 {
-        self.state_mut(group).0
     }
 
     /// The summary word and residency mask of `group`, growing the map
@@ -248,7 +156,7 @@ impl ExtentMap {
     /// `Some((owner, way))` when every resident line of the (non-empty)
     /// group provably sits in `owner`'s cache at `way` — the partial
     /// twin of [`GroupState::Whole`], consumed with the mask by the
-    /// run-split fast path.
+    /// run-split fast path, and the directory of the group's lines.
     #[inline]
     pub(crate) fn uniform_info(&self, group: u64) -> Option<(u32, u32)> {
         let w = *self.words.get(group as usize)?;
@@ -259,14 +167,25 @@ impl ExtentMap {
     /// non-empty, uniform, and locally owned.
     #[inline]
     pub(crate) fn uniform_local(&self, group: u64, core: u32) -> bool {
-        self.words
-            .get(group as usize)
-            .is_some_and(|&w| w & UNIFORM != 0 && w & COUNT_MASK != 0 && (w >> 16) & 0xFF == core)
+        self.uniform_info(group)
+            .is_some_and(|(owner, _)| owner == core)
     }
 
-    /// One line of `group` filled into `owner`'s cache at `way`.
+    /// Clear a uniform group's `uniform` bit ahead of a walk that reads
+    /// its directory entries, returning `(owner, way, mask)` — the lines
+    /// whose entries the caller must now write. `None` if not uniform.
     #[inline]
-    pub(crate) fn note_fill(&mut self, line: u64, owner: u32, way: u32) {
+    pub(crate) fn take_uniform(&mut self, group: u64) -> Option<(u32, u32, u64)> {
+        let (owner, way) = self.uniform_info(group)?;
+        let (w, mask) = self.state_mut(group);
+        *w &= !UNIFORM;
+        Some((owner, way, *mask))
+    }
+
+    /// One line of `group` filled into `owner`'s cache at `way`; returns
+    /// as [`ExtentMap::apply_fills`].
+    #[inline]
+    pub(crate) fn note_fill(&mut self, line: u64, owner: u32, way: u32) -> Option<(u32, u32, u64)> {
         self.apply_fills(
             line >> GROUP_SHIFT,
             (line & GROUP_MASK) as u32,
@@ -274,16 +193,22 @@ impl ExtentMap {
             owner,
             way,
             true,
-        );
+        )
     }
 
     /// `n` lines of `group` filled, all into `owner`'s cache; `uniform`
-    /// says they all landed at `way`. Counts are added before the batch's
-    /// eviction decrements are applied (see [`ExtentMap::note_evicts`]);
-    /// the order is immaterial to the count (addition commutes) and safe
-    /// for the uniform bit (evictions never change where the *remaining*
-    /// lines sit, so a bit proven against the pre-eviction fills stays
-    /// true of the survivors).
+    /// says they all landed at `way`. Returns `None` when the group is
+    /// uniform afterwards (the summary is its directory, run included);
+    /// otherwise `Some((owner, way, bits))`: the caller must write the
+    /// run's own directory entries, plus — when this fill just broke
+    /// the group's uniformity — the entries of the `bits` lines the
+    /// summary was standing for, at the old `(owner, way)` (`bits == 0`
+    /// when the group was not uniform before). Counts are added before
+    /// the batch's eviction decrements are applied (see
+    /// [`ExtentMap::note_evicts`]); the order is immaterial to the count
+    /// (addition commutes) and safe for the uniform bit (evictions never
+    /// change where the *remaining* lines sit, so a bit proven against
+    /// the pre-eviction fills stays true of the survivors).
     #[inline]
     pub(crate) fn apply_fills(
         &mut self,
@@ -293,34 +218,38 @@ impl ExtentMap {
         owner: u32,
         way: u32,
         uniform: bool,
-    ) {
+    ) -> Option<(u32, u32, u64)> {
         debug_assert!(n as u64 <= GROUP_LINES);
         let bits = run_mask(j0, n);
         let (w, mask) = self.state_mut(group);
-        debug_assert_eq!(
-            *w & VIRTUAL,
-            0,
-            "fill into a virtual group (its lines are all resident)"
-        );
         debug_assert_eq!(*mask & bits, 0, "fill of already-resident lines");
+        let (old, old_mask) = (*w, *mask);
         *mask |= bits;
-        let count = *w & COUNT_MASK;
+        let count = old & COUNT_MASK;
         debug_assert!(count + n <= GROUP_LINES as u32, "group overfilled");
-        if count == 0 {
-            *w = word_of(n, uniform, owner, way);
+        *w = if count == 0 {
+            word_of(n, uniform, owner, way)
         } else {
             let keep =
-                *w & UNIFORM != 0 && uniform && (*w >> 8) & 0xFF == way && (*w >> 16) == owner;
-            *w = word_of(count + n, keep, *w >> 16, (*w >> 8) & 0xFF);
-        }
+                old & UNIFORM != 0 && uniform && (old >> 8) & 0xFF == way && (old >> 16) == owner;
+            word_of(count + n, keep, old >> 16, (old >> 8) & 0xFF)
+        };
         debug_assert_eq!(mask.count_ones(), *w & COUNT_MASK);
+        if *w & UNIFORM != 0 {
+            None
+        } else if count != 0 && old & UNIFORM != 0 {
+            Some(((old >> 16) & 0xFF, (old >> 8) & 0xFF, old_mask))
+        } else {
+            Some((0, 0, 0))
+        }
     }
 
     /// A run of consecutive lines starting at `first_line` was filled
     /// into `owner`'s cache at the way slots packed in `entries` (the
     /// directory words the fill wrote). Splits the run at group
     /// boundaries and applies one batched update per group, deriving way
-    /// uniformity from the entries themselves.
+    /// uniformity from the entries themselves. For the exact walk only:
+    /// its groups' directory entries are all written, so nothing spills.
     #[inline]
     pub(crate) fn note_fill_run(
         &mut self,
@@ -332,20 +261,15 @@ impl ExtentMap {
         let mut i = 0usize;
         while i < entries.len() {
             let line = first_line + i as u64;
-            let group = line >> GROUP_SHIFT;
             let room = (GROUP_LINES - (line & GROUP_MASK)) as usize;
             let chunk = room.min(entries.len() - i);
-            let way0 = crate::linetab::slot_of(entries[i]) >> set_shift;
-            let mut uniform = true;
-            for &e in &entries[i + 1..i + chunk] {
-                uniform &= crate::linetab::slot_of(e) >> set_shift == way0;
-            }
+            let (way, uniform) = run_way(&entries[i..i + chunk], set_shift);
             self.apply_fills(
-                group,
+                line >> GROUP_SHIFT,
                 (line & GROUP_MASK) as u32,
                 chunk as u32,
                 owner,
-                way0,
+                way,
                 uniform,
             );
             i += chunk;
@@ -366,33 +290,25 @@ impl ExtentMap {
         let mut i = 0usize;
         while i < victims.len() {
             let group = victims[i] >> GROUP_SHIFT;
-            let mut n = 1u32;
-            let mut bits = 1u64 << (victims[i] & GROUP_MASK);
-            while i + (n as usize) < victims.len()
-                && victims[i + n as usize] >> GROUP_SHIFT == group
-            {
-                bits |= 1u64 << (victims[i + n as usize] & GROUP_MASK);
-                n += 1;
+            let (mut n, mut bits) = (0u32, 0u64);
+            while i < victims.len() && victims[i] >> GROUP_SHIFT == group {
+                bits |= 1u64 << (victims[i] & GROUP_MASK);
+                (n, i) = (n + 1, i + 1);
             }
             self.apply_evicts(group, n, bits);
-            i += n as usize;
         }
     }
 
+    /// The `n` lines `bits` of `group` were evicted or invalidated at
+    /// once: a run of victims, or the whole group (cache-to-cache fast
+    /// path, whole-strip eviction).
     #[inline]
-    fn apply_evicts(&mut self, group: u64, n: u32, bits: u64) {
+    pub(crate) fn apply_evicts(&mut self, group: u64, n: u32, bits: u64) {
         debug_assert_eq!(bits.count_ones(), n, "duplicate victims in one group");
         let (w, mask) = self.state_mut(group);
-        debug_assert_eq!(
-            *w & VIRTUAL,
-            0,
-            "decrement of a virtual group without materialization"
-        );
         debug_assert_eq!(*mask & bits, bits, "eviction of non-resident lines");
         *mask &= !bits;
-        let count = *w & COUNT_MASK;
-        debug_assert!(count >= n, "eviction from an empty group summary");
-        let left = count.saturating_sub(n);
+        let left = (*w & COUNT_MASK) - n;
         // Reset to zero when the group drains so the next fill re-seeds
         // the uniform bit instead of matching against stale owner bits.
         *w = if left == 0 {
@@ -403,24 +319,9 @@ impl ExtentMap {
         debug_assert_eq!(mask.count_ones(), *w & COUNT_MASK);
     }
 
-    /// The whole group was invalidated or displaced at once (the
-    /// cache-to-cache fast path, or a whole-strip eviction): equivalent
-    /// to `GROUP_LINES` decrements. Virtual groups are welcome — a
-    /// wholesale disappearance never needs the directory span, so the
-    /// flag is dropped with the rest of the word.
-    #[inline]
-    pub(crate) fn clear_group(&mut self, group: u64) {
-        let (w, mask) = self.state_mut(group);
-        debug_assert_eq!(*w & COUNT_MASK, GROUP_LINES as u32);
-        debug_assert_eq!(*mask, u64::MAX);
-        *w = 0;
-        *mask = 0;
-    }
-
-    /// Iterate `(group, count, uniform, owner, way, virt)` for every
-    /// group with at least one resident line. Invariant checks and
-    /// [`crate::MemorySystem::disable_extents`] only.
-    pub(crate) fn iter_live(&self) -> impl Iterator<Item = (u64, u32, bool, u32, u32, bool)> + '_ {
+    /// Iterate `(group, count, uniform, owner, way)` for every group
+    /// with at least one resident line. Invariant checks only.
+    pub(crate) fn iter_live(&self) -> impl Iterator<Item = (u64, u32, bool, u32, u32)> + '_ {
         self.words
             .iter()
             .enumerate()
@@ -432,10 +333,20 @@ impl ExtentMap {
                     w & UNIFORM != 0,
                     (w >> 16) & 0xFF,
                     (w >> 8) & 0xFF,
-                    w & VIRTUAL != 0,
                 )
             })
     }
+}
+
+/// The way of the first of `entries` (packed directory words of one
+/// fill run), and whether every entry shares it.
+#[inline]
+pub(crate) fn run_way(entries: &[u32], set_shift: u32) -> (u32, bool) {
+    let way = crate::linetab::slot_of(entries[0]) >> set_shift;
+    let uniform = entries[1..]
+        .iter()
+        .all(|&e| crate::linetab::slot_of(e) >> set_shift == way);
+    (way, uniform)
 }
 
 #[cfg(test)]
@@ -455,11 +366,7 @@ mod tests {
         for i in 0..GROUP_LINES {
             m.note_fill(i, 3, 7);
             let expect = if i + 1 == GROUP_LINES {
-                GroupState::Whole {
-                    owner: 3,
-                    way: 7,
-                    virt: false,
-                }
+                GroupState::Whole { owner: 3, way: 7 }
             } else {
                 GroupState::Mixed
             };
@@ -473,14 +380,7 @@ mod tests {
         for i in 0..GROUP_LINES {
             m.note_fill(i, 1, 0);
         }
-        assert_eq!(
-            m.classify(0),
-            GroupState::Whole {
-                owner: 1,
-                way: 0,
-                virt: false
-            }
-        );
+        assert_eq!(m.classify(0), GroupState::Whole { owner: 1, way: 0 });
     }
 
     #[test]
@@ -498,14 +398,7 @@ mod tests {
         for i in 0..GROUP_LINES {
             m.note_fill(i, 2, 5);
         }
-        assert_eq!(
-            m.classify(0),
-            GroupState::Whole {
-                owner: 2,
-                way: 5,
-                virt: false
-            }
-        );
+        assert_eq!(m.classify(0), GroupState::Whole { owner: 2, way: 5 });
     }
 
     #[test]
@@ -518,14 +411,7 @@ mod tests {
         let mut entries: Vec<u32> = (0..n).map(|i| (1 << set_shift) | (i as u32 & 3)).collect();
         entries[GROUP_LINES as usize + 3] = 2 << set_shift; // way 2 in group 1
         m.note_fill_run(0, &entries, 5, set_shift);
-        assert_eq!(
-            m.classify(0),
-            GroupState::Whole {
-                owner: 5,
-                way: 1,
-                virt: false
-            }
-        );
+        assert_eq!(m.classify(0), GroupState::Whole { owner: 5, way: 1 });
         assert_eq!(m.classify(1), GroupState::Mixed);
     }
 
@@ -544,12 +430,33 @@ mod tests {
     }
 
     #[test]
-    fn clear_group_resets_whole_group() {
+    fn evicting_the_whole_group_empties_it() {
         let mut m = ExtentMap::default();
         for i in 0..GROUP_LINES {
             m.note_fill(i, 9, 3);
         }
-        m.clear_group(0);
+        m.apply_evicts(0, GROUP_LINES as u32, u64::MAX);
         assert_eq!(m.classify(0), GroupState::Empty);
+    }
+
+    #[test]
+    fn breaking_fill_hands_back_the_lines_the_summary_stood_for() {
+        let mut m = ExtentMap::default();
+        // Uniform fills: the summary is the directory, nothing to write.
+        assert_eq!(m.apply_fills(0, 0, 10, 2, 4, true), None);
+        assert_eq!(m.apply_fills(0, 10, 5, 2, 4, true), None);
+        m.note_evict(3);
+        // A fill at another way breaks uniformity: the caller must write
+        // the surviving uniform lines, then its own run.
+        assert_eq!(
+            m.apply_fills(0, 20, 4, 2, 5, true),
+            Some((2, 4, run_mask(0, 15) & !(1 << 3)))
+        );
+        // Already non-uniform: only the run's own entries.
+        assert_eq!(m.apply_fills(0, 30, 1, 2, 4, true), Some((0, 0, 0)));
+        // The walk's takeover of a uniform group hands back its mask.
+        assert_eq!(m.apply_fills(1, 0, 3, 1, 0, true), None);
+        assert_eq!(m.take_uniform(1), Some((1, 0, 0b111)));
+        assert_eq!(m.uniform_info(1), None);
     }
 }

@@ -8,7 +8,9 @@
 
 use crate::addr::{AddrRange, LineAddr};
 use crate::cache::{SetAssocCache, VGroupFill};
-use crate::extent::{ExtentMap, GroupState, GROUP_LINES, GROUP_MASK, GROUP_SHIFT};
+use crate::extent::{
+    run_mask, run_way, ExtentMap, GroupState, GROUP_LINES, GROUP_MASK, GROUP_SHIFT,
+};
 use crate::linetab::{owner_of as packed_owner, pack, slot_of as packed_slot, LineTable, EMPTY};
 use crate::params::MemParams;
 use sais_sim::SimDuration;
@@ -90,11 +92,9 @@ pub struct MemorySystem {
     /// Reusable eviction sink for [`SetAssocCache::fill_run`]; drained
     /// into the extent summaries after each batched fill.
     victims: Vec<u64>,
-    /// Virtual groups whose directory spans still need writing: a
-    /// victim decrement can land while a page span borrow is live, so
-    /// the materialization is queued here and flushed before the next
-    /// classification (see [`crate::extent`] on virtual groups).
-    pending_material: Vec<(u64, u32, u32)>,
+    /// Directory words of a mask-path fill, which reach the directory
+    /// only if the fill leaves its group non-uniform.
+    entries: [u32; GROUP_LINES as usize],
     /// Fast-path engagement counters (deterministic per run; see
     /// [`MemorySystem::extent_stats`]).
     ext_whole_hits: u64,
@@ -103,6 +103,8 @@ pub struct MemorySystem {
     ext_partial_hits: u64,
     ext_masked_fill_lines: u64,
     ext_fallback_lines: u64,
+    ext_prefix_fills: u64,
+    ext_split_fills: u64,
     /// Total cache-to-cache line transfers (the migration count).
     c2c_transfers: u64,
     /// Total DRAM line fetches.
@@ -131,6 +133,13 @@ pub struct ExtentStats {
     pub masked_fill_lines: u64,
     /// Lines that went through the exact per-line walk instead.
     pub fallback_lines: u64,
+    /// Mask-path fills of a group's leading lines `[0, s)`, `s < 64`:
+    /// the first half of a chunk edge.
+    pub prefix_fills: u64,
+    /// Chunk edges served wholly on the split path: a prefix fill split
+    /// its cache block and the group's suffix fill collapsed it back to
+    /// one piece (see the split of a cache block in `cache.rs`).
+    pub split_fills: u64,
 }
 
 impl MemorySystem {
@@ -167,13 +176,15 @@ impl MemorySystem {
             set_shift: sets.trailing_zeros(),
             set_mask: sets as u64 - 1,
             victims: Vec::new(),
-            pending_material: Vec::new(),
+            entries: [0; GROUP_LINES as usize],
             ext_whole_hits: 0,
             ext_whole_c2c: 0,
             ext_whole_fills: 0,
             ext_partial_hits: 0,
             ext_masked_fill_lines: 0,
             ext_fallback_lines: 0,
+            ext_prefix_fills: 0,
+            ext_split_fills: 0,
             c2c_transfers: 0,
             dram_fetches: 0,
         }
@@ -187,21 +198,14 @@ impl MemorySystem {
     /// Disable the extent fast paths and their bookkeeping for the rest
     /// of this system's life (equivalent to constructing under
     /// `SAIS_MEM_NO_EXTENTS=1`). One-way: re-enabling after touches have
-    /// bypassed the bookkeeping would consume stale summaries. Any
-    /// *virtual* groups are materialized first — once the summaries are
-    /// off, the walks consult only the directory.
+    /// bypassed the bookkeeping would consume stale summaries. Every
+    /// uniform group's directory span is written first — once the
+    /// summaries are off, the walks consult only the directory.
     pub fn disable_extents(&mut self) {
         if self.extents_on {
-            let virts: Vec<(u64, u32, u32)> = self
-                .extents
-                .iter_live()
-                .filter(|&(.., virt)| virt)
-                .map(|(g, _, _, owner, way, _)| (g, owner, way))
-                .collect();
-            for (g, owner, way) in virts {
-                let taken = self.extents.take_virtual(g);
-                debug_assert_eq!(taken, Some((owner, way)));
-                self.write_group_dir(g, owner, way);
+            let live: Vec<u64> = self.extents.iter_live().map(|(g, ..)| g).collect();
+            for g in live {
+                self.spill_group(g);
             }
         }
         self.extents_on = false;
@@ -217,6 +221,8 @@ impl MemorySystem {
             partial_hit_lines: self.ext_partial_hits,
             masked_fill_lines: self.ext_masked_fill_lines,
             fallback_lines: self.ext_fallback_lines,
+            prefix_fills: self.ext_prefix_fills,
+            split_fills: self.ext_split_fills,
         }
     }
 
@@ -241,30 +247,25 @@ impl MemorySystem {
     /// residency, so the check is exact: a fill records the entry, an
     /// eviction or invalidation clears the tag, and the slot can only
     /// hold this line again if the line was re-filled there (which
-    /// rewrites the entry). Stale entries read as absent — unless the
-    /// line belongs to a *virtual* group, whose span was never written:
-    /// then the summary is the directory and the entry is synthesized
-    /// from it (the same value the eager fill would have recorded, as
-    /// the debug assert checks against the tags).
+    /// rewrites the entry). Stale entries read as absent. A line of a
+    /// *uniform* group is answered by the summary instead, which is that
+    /// group's directory (see [`crate::extent`]): resident iff its mask
+    /// bit is set, at the slot `(owner, way)` implies.
     #[inline]
     fn live_entry(&self, line: LineAddr) -> Option<u32> {
-        if let Some(packed) = self.directory.get(line.0) {
-            if self.caches[packed_owner(packed)].tag_at(packed_slot(packed)) == line.0 {
-                return Some(packed);
-            }
+        let group = line.0 >> GROUP_SHIFT;
+        if let Some((owner, way)) = self
+            .extents_on
+            .then(|| self.extents.uniform_info(group))
+            .flatten()
+        {
+            let slot = (way << self.set_shift) | (line.0 & self.set_mask) as u32;
+            let resident = self.extents.group_mask(group) >> (line.0 & GROUP_MASK) & 1 != 0;
+            debug_assert_eq!(self.caches[owner as usize].tag_at(slot) == line.0, resident);
+            return resident.then(|| pack(owner as usize, slot));
         }
-        if self.extents_on {
-            if let Some((owner, way)) = self.extents.virtual_info(line.0 >> GROUP_SHIFT) {
-                let slot = (way << self.set_shift) | (line.0 & self.set_mask) as u32;
-                debug_assert_eq!(
-                    self.caches[owner as usize].tag_at(slot),
-                    line.0,
-                    "virtual summary points at a stale strip"
-                );
-                return Some(pack(owner as usize, slot));
-            }
-        }
-        None
+        let packed = self.directory.get(line.0)?;
+        (self.caches[packed_owner(packed)].tag_at(packed_slot(packed)) == line.0).then_some(packed)
     }
 
     /// Touch every line of `range` from `core`, classifying each line and
@@ -344,33 +345,22 @@ impl MemorySystem {
                 // usually proves enough — all-hit, all-absent, or an
                 // alternation of the two inside a uniform local group —
                 // to stay off the per-line walk entirely. Anything the
-                // mask can't prove walks per-line; a virtual group about
-                // to be punched partially remote materializes its span
-                // first, since the walk classifies through the
-                // directory.
+                // mask can't prove walks per-line, through the
+                // directory, so a uniform (remote) group's span is
+                // written first.
                 let stop = end.min((key | GROUP_MASK) + 1);
                 if self.touch_masked(core, key, stop, counts, evictions) {
                     key = stop;
                     continue;
                 }
-                if let GroupState::Whole {
-                    owner,
-                    way,
-                    virt: true,
-                } = self.extents.classify(key >> GROUP_SHIFT)
-                {
-                    debug_assert_ne!(owner as usize, core, "local whole is mask-handled");
-                    let taken = self.extents.take_virtual(key >> GROUP_SHIFT);
-                    debug_assert_eq!(taken, Some((owner, way)));
-                    self.write_group_dir(key >> GROUP_SHIFT, owner, way);
-                }
+                self.spill_group(key >> GROUP_SHIFT);
                 self.ext_fallback_lines += stop - key;
                 self.walk_exact::<true>(core, key, stop, counts, evictions);
                 key = stop;
                 continue;
             }
             match self.extents.classify(key >> GROUP_SHIFT) {
-                GroupState::Whole { owner, way, .. } if owner as usize == core => {
+                GroupState::Whole { owner, way } if owner as usize == core => {
                     // Local all-hit replay: every line already resident
                     // here at `way`. No directory or tag traffic at all —
                     // just the batched recency promotion the per-line
@@ -384,15 +374,14 @@ impl MemorySystem {
                     );
                     key += GROUP_LINES;
                 }
-                GroupState::Whole { owner, way, .. } => {
+                GroupState::Whole { owner, way } => {
                     // Whole-extent cache-to-cache migration: batch the
                     // remote invalidation (remote and local caches are
                     // disjoint state, so invalidating first is
                     // order-equivalent to the per-line interleaving),
-                    // then fill locally in line order. A virtual remote
-                    // group needs no span write — the whole group
-                    // disappears at once, so its stale entries stay
-                    // conclusively dead.
+                    // then fill locally in line order. No span write —
+                    // the whole group disappears at once, so its stale
+                    // entries stay conclusively dead.
                     counts.c2c += GROUP_LINES;
                     self.ext_whole_c2c += 1;
                     self.caches[owner as usize].invalidate_run(
@@ -400,8 +389,9 @@ impl MemorySystem {
                         way as u64,
                         GROUP_LINES as usize,
                     );
-                    self.extents.clear_group(key >> GROUP_SHIFT);
-                    *evictions += self.fill_group(core, key);
+                    self.extents
+                        .apply_evicts(key >> GROUP_SHIFT, GROUP_LINES as u32, u64::MAX);
+                    *evictions += self.fill_lines(core, key, GROUP_LINES as usize);
                     key += GROUP_LINES;
                 }
                 GroupState::Empty => {
@@ -411,7 +401,7 @@ impl MemorySystem {
                     // absence — and goes straight to the batched fill.
                     counts.dram += GROUP_LINES;
                     self.ext_whole_fills += 1;
-                    *evictions += self.fill_group(core, key);
+                    *evictions += self.fill_lines(core, key, GROUP_LINES as usize);
                     key += GROUP_LINES;
                 }
                 GroupState::Mixed => {
@@ -426,11 +416,15 @@ impl MemorySystem {
                         key += GROUP_LINES;
                         continue;
                     }
+                    // The walk reads the stretch's directory entries, so
+                    // any uniform (remote) group's span is written first.
                     let mut stop = key + GROUP_LINES;
+                    self.spill_group(key >> GROUP_SHIFT);
                     while stop + GROUP_LINES <= end
                         && self.extents.classify(stop >> GROUP_SHIFT) == GroupState::Mixed
                         && !self.extents.uniform_local(stop >> GROUP_SHIFT, core as u32)
                     {
+                        self.spill_group(stop >> GROUP_SHIFT);
                         stop += GROUP_LINES;
                     }
                     self.ext_fallback_lines += stop - key;
@@ -441,77 +435,13 @@ impl MemorySystem {
         }
     }
 
-    /// Fill an aligned, wholly absent group into `core`'s cache: the
-    /// shared tail of the cold-fill and cache-to-cache fast paths.
-    /// Returns the eviction count.
-    ///
-    /// Tries the cache's block-grained virtual fill first: when it
-    /// lands, the group's directory span is never written (the summary
-    /// word seeded below *is* its directory until something partially
-    /// disturbs it), the victim strip's decrement is one word update
-    /// when the strip held a whole group, and no per-set recency moves.
-    /// The fallback is the materialized per-line fill, which behaves
-    /// exactly as before the virtual path existed.
-    fn fill_group(&mut self, core: usize, key: u64) -> u64 {
-        debug_assert_eq!(key & GROUP_MASK, 0);
-        debug_assert!(self.victims.is_empty());
-        let group = key >> GROUP_SHIFT;
-        let mut victims = std::mem::take(&mut self.victims);
-        let placed = self.caches[core].fill_group_virtual(LineAddr(key), &mut victims);
-        let evictions = match placed {
-            Some(VGroupFill::Rotated { way, old_group }) => {
-                if old_group != 0 {
-                    // The whole strip held exactly `old_group`: its 64
-                    // victims are one summary clear, with no tag reads
-                    // and no directory writes (wholesale disappearance
-                    // leaves stale entries conclusively dead, virtual or
-                    // not).
-                    self.extents.clear_group(old_group - 1);
-                } else {
-                    // Line-by-line victims. None can belong to a virtual
-                    // group: a virtual group's lines live exactly in a
-                    // strip whose hint is set, and this strip's wasn't.
-                    self.extents.note_evicts(&victims);
-                    victims.clear();
-                }
-                self.extents.seed_virtual(group, core as u32, way);
-                GROUP_LINES
-            }
-            Some(VGroupFill::Fresh { way }) => {
-                self.extents.seed_virtual(group, core as u32, way);
-                0
-            }
-            None => {
-                // A 64-aligned group never straddles a 4096-line
-                // directory page.
-                let span = self.directory.page_span(key, GROUP_LINES as usize);
-                debug_assert_eq!(span.len(), GROUP_LINES as usize);
-                let ev = self.caches[core].fill_run::<true>(
-                    LineAddr(key),
-                    span,
-                    pack(core, 0),
-                    &mut victims,
-                );
-                self.extents
-                    .note_fill_run(key, span, core as u32, self.set_shift);
-                self.extents
-                    .note_evicts_virtual(&victims, &mut self.pending_material);
-                victims.clear();
-                self.flush_pending();
-                ev
-            }
-        };
-        self.victims = victims;
-        evictions
-    }
-
     /// Serve `[key, stop)` — a subrange of one aligned group — from the
     /// group's residency mask, without per-line directory traffic:
     ///
     /// * every line absent → one batched fill (absence is proven, so the
     ///   per-line stale-entry validation of the exact walk is skipped);
     /// * every line resident in a uniform locally-owned group → one
-    ///   batched recency promotion (a virtual group stays virtual);
+    ///   batched recency promotion (a virtual cache block stays virtual);
     /// * a mix of the two in a uniform local group → alternating hit and
     ///   fill runs read straight off the mask bits, in line order.
     ///
@@ -534,13 +464,13 @@ impl MemorySystem {
         let group = key >> GROUP_SHIFT;
         let n = (stop - key) as u32;
         let j0 = (key & GROUP_MASK) as u32;
-        let sub = crate::extent::run_mask(j0, n);
+        let sub = run_mask(j0, n);
         let mask = self.extents.group_mask(group);
         let present = mask & sub;
         if present == 0 {
             counts.dram += n as u64;
             self.ext_masked_fill_lines += n as u64;
-            *evictions += self.fill_partial(core, key, n as usize);
+            *evictions += self.fill_lines(core, key, n as usize);
             return true;
         }
         let Some((owner, way)) = self.extents.uniform_info(group) else {
@@ -578,66 +508,138 @@ impl MemorySystem {
             } else {
                 counts.dram += len as u64;
                 self.ext_masked_fill_lines += len as u64;
-                *evictions += self.fill_partial(core, line, len as usize);
+                *evictions += self.fill_lines(core, line, len as usize);
             }
             bit += len;
         }
         true
     }
 
-    /// Batched fill of `n` consecutive lines proven absent everywhere
-    /// (their group's mask bits are clear): the generalization of
-    /// [`MemorySystem::fill_group`]'s materialized arm to a partial run.
-    fn fill_partial(&mut self, core: usize, key: u64, n: usize) -> u64 {
+    /// Fill `n` consecutive lines of one aligned group, proven absent
+    /// everywhere, into `core`'s cache: the shared tail of the cold-fill,
+    /// cache-to-cache and mask-split paths. Returns the eviction count.
+    ///
+    /// Tries the cache's block-grained virtual fill first — a whole
+    /// group, a chunk's leading prefix (which splits the cache block) or
+    /// the matching suffix (which collapses it back). When it lands, no
+    /// per-set recency moves and the victim strip's decrement is one
+    /// summary update when the strip held one group. The fallback is the
+    /// materialized per-line fill. Either way the group's directory
+    /// entries are written only if the fill leaves it non-uniform.
+    /// Always inlined, with the virtual fill: at the whole-group call
+    /// sites `n` is the constant 64 and the edge branches fold away.
+    #[inline(always)]
+    fn fill_lines(&mut self, core: usize, key: u64, n: usize) -> u64 {
         debug_assert!(self.victims.is_empty());
+        let (group, j0) = (key >> GROUP_SHIFT, (key & GROUP_MASK) as u32);
+        self.ext_prefix_fills += (j0 == 0 && n < GROUP_LINES as usize) as u64;
         let mut victims = std::mem::take(&mut self.victims);
-        // A run within one aligned group never straddles a directory
-        // page.
-        let span = self.directory.page_span(key, n);
-        debug_assert_eq!(span.len(), n);
-        let ev =
-            self.caches[core].fill_run::<true>(LineAddr(key), span, pack(core, 0), &mut victims);
-        self.extents
-            .note_fill_run(key, span, core as u32, self.set_shift);
-        self.extents
-            .note_evicts_virtual(&victims, &mut self.pending_material);
-        victims.clear();
-        self.flush_pending();
+        let placed = self.caches[core].fill_group_virtual(LineAddr(key), n, &mut victims);
+        let (way, ev) = match placed {
+            Some(VGroupFill::Rotated { way, old_group }) => {
+                if old_group == 0 {
+                    self.extents.note_evicts(&victims);
+                    victims.clear();
+                } else {
+                    self.extents
+                        .apply_evicts(old_group - 1, n as u32, run_mask(j0, n as u32));
+                }
+                (way, n as u64)
+            }
+            Some(VGroupFill::Fresh { way }) => (way, 0),
+            None => {
+                self.victims = victims;
+                return self.fill_lines_per_set(core, key, n);
+            }
+        };
         self.victims = victims;
+        // Off the group start, only a split block's suffix goes virtual,
+        // collapsing the block.
+        self.ext_split_fills += (j0 != 0) as u64;
+        let spill = self
+            .extents
+            .apply_fills(group, j0, n as u32, core as u32, way, true);
+        if let Some(spill) = spill {
+            self.spill_fill(core, key, n, spill, Some(way));
+        }
         ev
     }
 
-    /// Write the directory span a virtual group's eager fill would have
-    /// written: every line of the group at `(owner, way)`, slot derived
-    /// from the line's set.
-    fn write_group_dir(&mut self, group: u64, owner: u32, way: u32) {
+    /// The per-set fallback of [`MemorySystem::fill_lines`]: the batched
+    /// `fill_run`, its directory words kept aside until the summary says
+    /// whether the group still stands for them.
+    #[inline(never)]
+    fn fill_lines_per_set(&mut self, core: usize, key: u64, n: usize) -> u64 {
+        let mut victims = std::mem::take(&mut self.victims);
+        let entries = &mut self.entries[..n];
+        let ev =
+            self.caches[core].fill_run::<true>(LineAddr(key), entries, pack(core, 0), &mut victims);
+        let (way, uniform) = run_way(entries, self.set_shift);
+        self.extents.note_evicts(&victims);
+        victims.clear();
+        self.victims = victims;
+        let (group, j0) = (key >> GROUP_SHIFT, (key & GROUP_MASK) as u32);
+        let spill = self
+            .extents
+            .apply_fills(group, j0, n as u32, core as u32, way, uniform);
+        if let Some(spill) = spill {
+            self.spill_fill(core, key, n, spill, None);
+        }
+        ev
+    }
+
+    /// A fill of `n` lines from `key` left its group non-uniform: write
+    /// the entries the summary stood for (`spill`, see
+    /// [`ExtentMap::apply_fills`]), then the run's own — at `way`, or the
+    /// per-set fill's words.
+    #[cold]
+    #[inline(never)]
+    fn spill_fill(
+        &mut self,
+        core: usize,
+        key: u64,
+        n: usize,
+        (owner, old_way, bits): (u32, u32, u64),
+        way: Option<u32>,
+    ) {
+        let group = key >> GROUP_SHIFT;
+        self.write_dir(group, owner, old_way, bits);
+        match way {
+            Some(way) => {
+                let run = run_mask((key & GROUP_MASK) as u32, n as u32);
+                self.write_dir(group, core as u32, way, run);
+            }
+            None => self
+                .directory
+                .page_span(key, n)
+                .copy_from_slice(&self.entries[..n]),
+        }
+    }
+
+    /// Write the directory entries of `group`'s `bits` lines, resident
+    /// in `owner`'s cache at `way`: the slot is implied by the line's set.
+    fn write_dir(&mut self, group: u64, owner: u32, way: u32, bits: u64) {
+        if bits == 0 {
+            return;
+        }
         let first = group << GROUP_SHIFT;
-        let set0 = (first & self.set_mask) as u32;
+        let base = (way << self.set_shift) | (first & self.set_mask) as u32;
+        // A 64-aligned group never straddles a 4096-line directory page.
         let span = self.directory.page_span(first, GROUP_LINES as usize);
-        debug_assert_eq!(span.len(), GROUP_LINES as usize);
-        for (j, e) in span.iter_mut().enumerate() {
-            *e = pack(owner as usize, (way << self.set_shift) | (set0 + j as u32));
+        let mut rest = bits;
+        while rest != 0 {
+            let j = rest.trailing_zeros();
+            span[j as usize] = pack(owner as usize, base + j);
+            rest &= rest - 1;
         }
     }
 
-    /// Materialize every queued virtual group's directory span. Called
-    /// whenever no page-span borrow is live, and always before the next
-    /// classification or directory read.
-    #[inline]
-    fn flush_pending(&mut self) {
-        while let Some((group, owner, way)) = self.pending_material.pop() {
-            self.write_group_dir(group, owner, way);
+    /// Hand a uniform group over to the directory ahead of a walk that
+    /// reads its entries: write them from the summary and clear the bit.
+    fn spill_group(&mut self, group: u64) {
+        if let Some((owner, way, bits)) = self.extents.take_uniform(group) {
+            self.write_dir(group, owner, way, bits);
         }
-    }
-
-    /// One line evicted or invalidated outside the batched walks:
-    /// decrement its group, materializing the span first if the group
-    /// was virtual (no directory borrow is live at these call sites).
-    #[inline]
-    fn note_evict_line(&mut self, line: u64) {
-        self.extents
-            .note_evict_virtual(line, &mut self.pending_material);
-        self.flush_pending();
     }
 
     /// The exact per-line walk over `[first, end)` — the pre-extent
@@ -717,16 +719,12 @@ impl MemorySystem {
                             unsafe { self.caches.get_unchecked_mut(core) }.fill_absent(line);
                         *evictions += ev.is_some() as u64;
                         if EXT {
-                            // `line` sits in a stretch the grouped walk
-                            // handed down, so its group is never virtual
-                            // (whole groups were intercepted above); the
-                            // fill's victim, though, can be any line of
-                            // core's cache — materialization of its span
-                            // is deferred until the page borrow dies.
+                            // The stretch's groups were spilled before the
+                            // walk and every walk fill writes its entry, so
+                            // a fill that breaks uniformity spills nothing.
                             self.extents.note_evict(line.0);
                             if let Some(v) = ev {
-                                self.extents
-                                    .note_evict_virtual(v.0, &mut self.pending_material);
+                                self.extents.note_evict(v.0);
                             }
                             self.extents
                                 .note_fill(line.0, core as u32, nslot >> self.set_shift);
@@ -771,8 +769,7 @@ impl MemorySystem {
                     );
                     self.extents
                         .note_fill_run(line.0, run, core as u32, self.set_shift);
-                    self.extents
-                        .note_evicts_virtual(&self.victims, &mut self.pending_material);
+                    self.extents.note_evicts(&self.victims);
                     self.victims.clear();
                 } else {
                     *evictions += unsafe { self.caches.get_unchecked_mut(core) }.fill_run::<false>(
@@ -784,15 +781,6 @@ impl MemorySystem {
                 }
             }
             key += n as u64;
-            // The page borrow is dead; write out the directory spans of
-            // any virtual groups a fill victim disturbed above. Deferral
-            // is sound because the walk only reads directory entries for
-            // this stretch's own lines, and a group that is virtual now
-            // was virtual when the stretch was formed — so it was
-            // intercepted as Whole and is never inside the stretch.
-            if EXT {
-                self.flush_pending();
-            }
         }
     }
 
@@ -819,7 +807,7 @@ impl MemorySystem {
                     let removed = self.caches[owner].invalidate(line);
                     debug_assert!(removed, "directory said core {owner} owned {line:?}");
                     if self.extents_on {
-                        self.note_evict_line(line.0);
+                        self.extents.note_evict(line.0);
                     }
                     counts.c2c += 1;
                     self.c2c_transfers += 1;
@@ -850,10 +838,14 @@ impl MemorySystem {
         let (slot, evicted) = self.caches[core].insert_tracked(line);
         if self.extents_on {
             if let Some(v) = evicted {
-                self.note_evict_line(v.0);
+                self.extents.note_evict(v.0);
             }
-            self.extents
+            let spill = self
+                .extents
                 .note_fill(line.0, core as u32, slot >> self.set_shift);
+            if let Some((owner, way, bits)) = spill {
+                self.write_dir(line.0 >> GROUP_SHIFT, owner, way, bits);
+            }
         }
         self.directory.insert(line.0, pack(core, slot));
     }
@@ -869,7 +861,7 @@ impl MemorySystem {
                 if packed_owner(packed) != core {
                     self.caches[packed_owner(packed)].invalidate(line);
                     if self.extents_on {
-                        self.note_evict_line(line.0);
+                        self.extents.note_evict(line.0);
                     }
                 } else {
                     continue;
@@ -935,9 +927,9 @@ impl MemorySystem {
     /// O(directory × cores); tests only.
     pub fn check_invariants(&self) {
         // Residency census: live directory entries, plus the synthesized
-        // spans of virtual groups — whose directory entries were never
-        // written, because the summary word *is* their directory. Values
-        // are `(owner, way)`.
+        // entries of uniform groups' mask bits — whose directory entries
+        // may never have been written, because the summary word *is*
+        // their directory. Values are `(owner, way)`.
         let mut census: std::collections::HashMap<u64, (usize, u32)> =
             std::collections::HashMap::new();
         for (line, packed) in self.directory.iter() {
@@ -947,30 +939,22 @@ impl MemorySystem {
             }
         }
         if self.extents_on {
-            for (g, count, uniform, owner, way, virt) in self.extents.iter_live() {
-                if !virt {
-                    continue;
-                }
-                assert_eq!(count, GROUP_LINES as u32, "virtual group {g} not full");
-                assert!(uniform, "virtual group {g} not uniform");
-                let owner = owner as usize;
-                let first = g << GROUP_SHIFT;
-                for j in 0..GROUP_LINES {
-                    let line = first + j;
-                    let set = (line & self.set_mask) as u32;
-                    let slot = (way << self.set_shift) | set;
+            for (g, _, uniform, owner, way) in self.extents.iter_live() {
+                let (owner, mask) = (owner as usize, self.extents.group_mask(g));
+                for j in (0..GROUP_LINES).filter(|j| uniform && mask >> j & 1 != 0) {
+                    let line = (g << GROUP_SHIFT) + j;
+                    let slot = (way << self.set_shift) | (line & self.set_mask) as u32;
                     assert_eq!(
                         self.caches[owner].tag_at(slot),
                         line,
-                        "virtual group {g} line {line} absent from its implied slot"
+                        "uniform group {g} line {line} absent from its implied slot"
                     );
-                    // A stale directory entry may coincide with the
-                    // virtual placement (then it is live and must agree);
-                    // it can never disagree while live, by exclusivity.
+                    // A directory entry may also be live (then it must
+                    // agree); it can never disagree, by exclusivity.
                     let prev = census.insert(line, (owner, way));
                     assert!(
                         prev.is_none() || prev == Some((owner, way)),
-                        "line {line}: live directory entry disagrees with its virtual group"
+                        "line {line}: live directory entry disagrees with its uniform group"
                     );
                 }
             }
@@ -1012,7 +996,7 @@ impl MemorySystem {
                 *gbits.entry(line >> GROUP_SHIFT).or_default() |= 1u64 << (line & GROUP_MASK);
             }
             let mut summarized = 0usize;
-            for (g, count, uniform, owner, way, _virt) in self.extents.iter_live() {
+            for (g, count, uniform, owner, way) in self.extents.iter_live() {
                 summarized += 1;
                 let live = groups
                     .get(&g)

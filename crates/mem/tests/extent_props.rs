@@ -164,6 +164,114 @@ proptest! {
     }
 }
 
+/// Byte sizes of a strip's interrupt chunks: `frames` frames coalesced
+/// `per_batch` to an interrupt, the payload split pro rata by cumulative
+/// frame count (the arithmetic of `NicBond::receive_strip`).
+fn chunk_bytes(payload: u64, frames: u64, per_batch: u64) -> Vec<u64> {
+    let batches = frames.div_ceil(per_batch);
+    let cum = |b: u64| payload * (frames * b / batches) / frames;
+    (1..=batches).map(|b| cum(b) - cum(b - 1)).collect()
+}
+
+/// Touch `r` from `core` on both systems and require bit-identity with
+/// the oracle — counts, statistics, transfers, ownership — plus the
+/// fast system's invariants.
+fn step(fast: &mut MemorySystem, slow: &mut MemorySystem, core: usize, r: AddrRange, lines: u64) {
+    let cf = fast.touch(core, r);
+    let cs = slow.touch_reference(core, r);
+    assert_eq!(cf, cs, "classification diverged on {r:?} at core {core}");
+    assert_equivalent(fast, slow, fast.cores(), lines);
+    fast.check_invariants();
+}
+
+proptest! {
+    /// Strips filled the way interrupts fill them: cut into chunks of up
+    /// to 12 KB at byte offsets that are not line-aligned, so
+    /// neighbouring chunks share a boundary line, each chunk on the
+    /// previous chunk's core with probability about 0.85, else on
+    /// another. Interleaved are
+    /// touches from other cores into the same cache blocks, and
+    /// whole-strip reads. A ring of four 16 KiB strips over 64-set
+    /// caches keeps every strip's groups fighting for one block's ways.
+    /// After every step the fast system must match the oracle exactly.
+    #[test]
+    fn chunked_fills_match_reference(
+        assoc in 1usize..4,
+        steps in proptest::collection::vec(
+            ((1u64..12_000, 0u8..100, 1usize..3), (0u8..10, 0u64..256, 1u64..80)), 1..100
+        )
+    ) {
+        const STRIP: u64 = 16 << 10;
+        let p = params_64_sets(assoc);
+        let line = p.line_size;
+        let ring = 4 * STRIP / line;
+        let mut fast = MemorySystem::new(3, p.clone());
+        let mut slow = MemorySystem::new(3, p);
+        let (mut strip, mut cursor, mut core) = (0u64, 0u64, 0usize);
+        for &((size, stay, hop), (kind, off, len)) in &steps {
+            let base = strip % 4 * STRIP;
+            match kind {
+                0..=7 => {
+                    if stay >= 85 {
+                        core = (core + hop) % 3;
+                    }
+                    let size = size.min(STRIP - cursor);
+                    step(&mut fast, &mut slow, core, AddrRange::new(base + cursor, size), ring);
+                    cursor += size;
+                    if cursor == STRIP {
+                        (strip, cursor) = (strip + 1, 0);
+                    }
+                }
+                8 => {
+                    let other = (core + hop) % 3;
+                    let start = base + off * line;
+                    let r = AddrRange::new(start, (len * line).min(4 * STRIP - start));
+                    step(&mut fast, &mut slow, other, r, ring);
+                }
+                _ => step(&mut fast, &mut slow, core, AddrRange::new(base, STRIP), ring),
+            }
+        }
+        slow.check_invariants();
+    }
+}
+
+#[test]
+fn same_core_chunk_edges_take_the_split_path() {
+    // The dominant SAIs shape: every chunk of a strip, and then its
+    // read, on one core. All five chunk edges of every strip split the
+    // cache block at the prefix fill and collapse it at the suffix,
+    // while the system stays bit-identical to the oracle.
+    let p = params_64_sets(2);
+    let mut fast = MemorySystem::new(2, p.clone());
+    let mut slow = MemorySystem::new(2, p);
+    let strip = 64u64 << 10;
+    let chunks = chunk_bytes(strip, strip.div_ceil(1460), 8);
+    assert!(
+        chunks.iter().all(|c| c % 64 != 0),
+        "every edge splits a line"
+    );
+    let strips = 6;
+    for s in 0..strips {
+        let mut off = s * strip;
+        for &c in &chunks {
+            step(&mut fast, &mut slow, 1, AddrRange::new(off, c), 6 * 1024);
+            off += c;
+        }
+        step(
+            &mut fast,
+            &mut slow,
+            1,
+            AddrRange::new(s * strip, strip),
+            6 * 1024,
+        );
+    }
+    let e = fast.extent_stats();
+    let edges = strips * (chunks.len() as u64 - 1);
+    assert_eq!(e.prefix_fills, edges, "{e:?}");
+    assert_eq!(e.split_fills, edges, "{e:?}");
+    assert_eq!(e.fallback_lines, 0, "{e:?}");
+}
+
 #[test]
 fn fast_paths_engage_on_canonical_regimes() {
     // Deterministic witness that the O(1) paths actually run: cold
