@@ -1,27 +1,38 @@
-//! The crate's JSON reader and writer.
+//! The crate's JSON reader and writers.
 //!
 //! The build environment vendors no external crates, so this module is the
-//! one JSON grammar the crate has. `Reader` is a pull reader: it hands
-//! out a document's tokens in order, checks the grammar as it goes, and
-//! allocates nothing per token once its buffers have grown. Two consumers
-//! drive it:
+//! one JSON grammar the crate has. `Cursor` is a direct-descent reader:
+//! its consumer reads each value where it stands. `object` and `array`
+//! read a container's punctuation and hand the cursor to a closure at
+//! each member (with its unescaped key) or item; `string`, `number`,
+//! `literal` and `skip` read one value. There is no token type and no
+//! per-token state machine. Two consumers drive it:
 //!
-//! * [`JsonValue::parse`] builds a document tree from the tokens, for the
-//!   trace analyzer, the perf-history reader and tests;
-//! * [`crate::perfetto::validate`] streams an exported trace's events
-//!   through it and keeps only the fields it checks. That check runs after
-//!   every observed benchmark run, so the reader is on a timed path: a
-//!   string without escapes is handed out as a slice of the input, and the
-//!   duplicate-key check compares unescaped keys on one reusable key stack,
-//!   allocating nothing per object.
+//! * [`JsonValue::parse`] builds a document tree, for the trace analyzer,
+//!   the perf-history reader and tests;
+//! * [`crate::perfetto::validate`] walks an exported trace's events and
+//!   keeps only the fields it checks. That check runs after every observed
+//!   benchmark run, so the reader is on a timed path: a string without
+//!   escapes is a slice of the input, found eight bytes at a time; a plain
+//!   key is compared for duplicates as that slice, and only when another
+//!   key of its object shares its bit in a 64-bit mask; and a number of up
+//!   to 15 digits without an exponent is computed exactly without
+//!   `str::parse`.
 //!
 //! Duplicate object keys are rejected: the exporters never produce them,
 //! and silently keeping the first (or last) would hide exporter bugs.
-//! Nesting deeper than [`MAX_DEPTH`] is rejected too, so a hostile
-//! document cannot exhaust the stack when its tree is dropped or written.
-//! [`JsonValue::to_json`] serializes a tree canonically, so parsed
-//! documents round-trip.
+//! Nesting deeper than [`MAX_DEPTH`] is rejected too, so neither the
+//! reader's recursion nor dropping or writing a tree can exhaust the
+//! stack. [`JsonValue::to_json`] serializes a tree canonically, so parsed
+//! documents round-trip. The token reader the cursor replaced is kept
+//! under test as its oracle: both must return the same tree, or fail at
+//! the same byte with the same message, on every input.
+//!
+//! The writers, `write_json_string` and `write_u64`, append to a
+//! `String` without `fmt`; the trace exporter and the metric snapshot
+//! share them.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::ops::Range;
 
@@ -72,50 +83,31 @@ impl JsonValue {
     /// Parse a complete JSON document (trailing whitespace allowed,
     /// trailing garbage rejected).
     pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
-        let mut r = Reader::new(text);
-        // Open containers, each with the key it will be stored under in
-        // its parent (`None` inside arrays and for the root).
-        let mut open: Vec<(Option<String>, JsonValue)> = Vec::new();
-        let mut key: Option<String> = None;
-        let root = loop {
-            let value = match r.next()? {
-                Some(Token::BeginObject) => {
-                    open.push((key.take(), JsonValue::Obj(Vec::new())));
-                    continue;
-                }
-                Some(Token::BeginArray) => {
-                    open.push((key.take(), JsonValue::Arr(Vec::new())));
-                    continue;
-                }
-                Some(Token::Key(k)) => {
-                    key = Some(k.to_owned());
-                    continue;
-                }
-                Some(Token::EndObject | Token::EndArray) => {
-                    let (k, v) = open.pop().expect("the reader balances containers");
-                    key = k;
-                    v
-                }
-                Some(Token::Str(s)) => JsonValue::Str(s.to_owned()),
-                Some(Token::Num(n)) => JsonValue::Num(n),
-                Some(Token::Bool(b)) => JsonValue::Bool(b),
-                Some(Token::Null) => JsonValue::Null,
-                None => unreachable!("the reader ends only after the root value"),
-            };
-            match open.last_mut() {
-                None => break value,
-                Some((_, JsonValue::Obj(fields))) => {
-                    let k = key
-                        .take()
-                        .expect("the reader yields a key before each member");
-                    fields.push((k, value));
-                }
-                Some((_, JsonValue::Arr(items))) => items.push(value),
-                Some(_) => unreachable!("only containers are opened"),
+        Cursor::document(text, JsonValue::read)
+    }
+
+    fn read(cur: &mut Cursor<'_>) -> Result<JsonValue, JsonError> {
+        Ok(match cur.kind()? {
+            Kind::Object => {
+                let mut fields = Vec::new();
+                cur.object(|cur, key| {
+                    fields.push((key.to_owned(), JsonValue::read(cur)?));
+                    Ok(())
+                })?;
+                JsonValue::Obj(fields)
             }
-        };
-        r.end()?;
-        Ok(root)
+            Kind::Array => {
+                let mut items = Vec::new();
+                cur.array(|cur| {
+                    items.push(JsonValue::read(cur)?);
+                    Ok(())
+                })?;
+                JsonValue::Arr(items)
+            }
+            Kind::Str => JsonValue::Str(cur.string()?.to_owned()),
+            Kind::Num => JsonValue::Num(cur.number()?),
+            Kind::Literal => cur.literal()?,
+        })
     }
 
     /// Object field lookup.
@@ -212,97 +204,110 @@ impl JsonValue {
     }
 }
 
+/// Append `s` as a JSON string literal. Each run of characters that needs
+/// no escape is pushed as one slice.
 pub(crate) fn write_json_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let esc = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0c => "\\f",
+            0..=0x1f => "\\u00",
+            _ => continue,
+        };
+        // `b` is ASCII, so `i` is a char boundary.
+        out.push_str(&s[run..i]);
+        out.push_str(esc);
+        if esc == "\\u00" {
+            out.push(HEX[usize::from(b >> 4)] as char);
+            out.push(HEX[usize::from(b & 0xf)] as char);
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
-/// One token of a JSON document, in document order. Strings and keys are
-/// unescaped and borrow from the reader until its next call.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Token<'r> {
-    /// `{`
-    BeginObject,
-    /// An object member's key; the member's value follows.
-    Key(&'r str),
-    /// `}`
-    EndObject,
-    /// `[`
-    BeginArray,
-    /// `]`
-    EndArray,
-    /// A string value.
-    Str(&'r str),
-    /// A number.
-    Num(f64),
-    /// `true` / `false`
-    Bool(bool),
-    /// `null`
-    Null,
+const HEX: &[u8; 16] = b"0123456789abcdef";
+
+/// Append `v` in decimal.
+pub(crate) fn write_u64(mut v: u64, out: &mut String) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("decimal digits are ASCII"));
 }
 
-/// What the reader accepts next.
-#[derive(Debug, Clone, Copy)]
-enum Expect {
-    /// A value: the root, a member's value, or an array item after `,`.
-    Value,
-    /// The first key of an object, or its `}`.
-    FirstKey,
-    /// The first item of an array, or its `]`.
-    FirstItem,
-    /// A `,` or the closing bracket of the innermost container, or the
-    /// end of the document.
-    AfterValue,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Frame {
-    /// An open object whose keys start at this index of `key_ends`.
-    Object {
-        first_key: usize,
-    },
+/// What the value at a [`Cursor`] is, told by its first byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Kind {
+    Object,
     Array,
+    Str,
+    Num,
+    /// `true`, `false` or `null`.
+    Literal,
 }
 
-/// A pull reader over one JSON document (see the module docs).
-pub(crate) struct Reader<'a> {
+/// Exact powers of ten for the number fast path.
+const POW10: [f64; 16] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
+];
+
+/// Most digits a number may have to take the fast path: below 10^15 every
+/// mantissa is an exact f64.
+const FAST_DIGITS: usize = 15;
+
+/// A direct-descent reader over one JSON document (see the module docs).
+///
+/// Between calls the cursor sits on the first byte of a value, past any
+/// whitespace. Every value reader consumes exactly one value.
+pub(crate) struct Cursor<'a> {
     text: &'a str,
     pos: usize,
-    expect: Expect,
-    frames: Vec<Frame>,
-    /// The unescaped keys of every open object, back to back.
-    keys: String,
-    /// End offset in `keys` of each of those keys.
-    key_ends: Vec<usize>,
-    /// The unescaped text of the last string value that had escapes.
+    /// Containers open around the cursor.
+    depth: usize,
+    /// The keys of every open object, innermost object's last. Plain keys
+    /// borrow the input; only escaped ones are copied.
+    keys: Vec<Cow<'a, str>>,
+    /// The unescaped text of the last string that had escapes.
     scratch: String,
 }
 
-impl<'a> Reader<'a> {
-    /// A reader positioned before the document's root value.
-    pub(crate) fn new(text: &'a str) -> Reader<'a> {
-        Reader {
+impl<'a> Cursor<'a> {
+    /// Read `text` as one document: `root` reads its root value, and
+    /// anything but whitespace after it is an error.
+    pub(crate) fn document<T>(
+        text: &'a str,
+        root: impl FnOnce(&mut Cursor<'a>) -> Result<T, JsonError>,
+    ) -> Result<T, JsonError> {
+        let mut cur = Cursor {
             text,
             pos: 0,
-            expect: Expect::Value,
-            frames: Vec::new(),
-            keys: String::new(),
-            key_ends: Vec::new(),
+            depth: 0,
+            keys: Vec::new(),
             scratch: String::new(),
+        };
+        cur.skip_ws();
+        let out = root(&mut cur)?;
+        cur.skip_ws();
+        if cur.pos < text.len() {
+            return Err(cur.err("trailing characters after document"));
         }
+        Ok(out)
     }
 
     fn err(&self, msg: impl Into<String>) -> JsonError {
@@ -322,204 +327,237 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// The next token, or `None` once the root value is complete and only
-    /// whitespace follows it.
-    pub(crate) fn next(&mut self) -> Result<Option<Token<'_>>, JsonError> {
-        self.skip_ws();
-        match self.expect {
-            Expect::Value => self.value().map(Some),
-            Expect::FirstKey if self.peek() == Some(b'}') => Ok(Some(self.close())),
-            Expect::FirstKey => self.key().map(Some),
-            Expect::FirstItem if self.peek() == Some(b']') => Ok(Some(self.close())),
-            Expect::FirstItem => self.value().map(Some),
-            Expect::AfterValue => match (self.frames.last(), self.peek()) {
-                (None, None) => Ok(None),
-                (None, Some(_)) => Err(self.err("trailing characters after document")),
-                (Some(Frame::Object { .. }), Some(b',')) => {
-                    self.pos += 1;
-                    self.skip_ws();
-                    self.key().map(Some)
-                }
-                (Some(Frame::Object { .. }), Some(b'}')) => Ok(Some(self.close())),
-                (Some(Frame::Object { .. }), _) => Err(self.err("expected ',' or '}' in object")),
-                (Some(Frame::Array), Some(b',')) => {
-                    self.pos += 1;
-                    self.skip_ws();
-                    self.value().map(Some)
-                }
-                (Some(Frame::Array), Some(b']')) => Ok(Some(self.close())),
-                (Some(Frame::Array), _) => Err(self.err("expected ',' or ']' in array")),
-            },
+    /// The kind of the value at the cursor; an error if no value starts
+    /// here.
+    pub(crate) fn kind(&self) -> Result<Kind, JsonError> {
+        match self.peek() {
+            Some(b'{') => Ok(Kind::Object),
+            Some(b'[') => Ok(Kind::Array),
+            Some(b'"') => Ok(Kind::Str),
+            Some(b't' | b'f' | b'n') => Ok(Kind::Literal),
+            Some(c) if c == b'-' || c.is_ascii_digit() => Ok(Kind::Num),
+            Some(c) => Err(self.err(format!("unexpected character '{}'", c as char))),
+            None => Err(self.err("unexpected end of input")),
         }
     }
 
-    /// Check that the document ends here; call once the root is complete.
-    pub(crate) fn end(&mut self) -> Result<(), JsonError> {
-        match self.next()? {
-            None => Ok(()),
-            Some(_) => unreachable!("end() is called only after the root value"),
-        }
-    }
-
-    /// Read the rest of the container whose opening token was just read.
-    pub(crate) fn skip_container(&mut self) -> Result<(), JsonError> {
-        let depth = self.frames.len();
-        loop {
-            self.next()?;
-            if self.frames.len() < depth {
-                return Ok(());
-            }
-        }
-    }
-
-    /// Read the next value's first token. If it is `open` (`BeginObject` or
-    /// `BeginArray`), leave that container open to be read and return
-    /// true; otherwise read the whole value and return false.
-    pub(crate) fn enter(&mut self, open: Token<'static>) -> Result<bool, JsonError> {
-        let tok = self.next()?.expect("a value is due");
-        if tok == open {
-            return Ok(true);
-        }
-        if matches!(tok, Token::BeginObject | Token::BeginArray) {
-            self.skip_container()?;
-        }
-        Ok(false)
-    }
-
-    /// Read one whole value, handing its first token to `f`.
-    pub(crate) fn value_with<T>(&mut self, f: impl FnOnce(Token<'_>) -> T) -> Result<T, JsonError> {
-        let tok = self.next()?.expect("a value is due");
-        let opens = matches!(tok, Token::BeginObject | Token::BeginArray);
-        let out = f(tok);
-        if opens {
-            self.skip_container()?;
-        }
-        Ok(out)
-    }
-
-    fn open(&mut self, frame: Frame, expect: Expect) -> Result<(), JsonError> {
-        if self.frames.len() == MAX_DEPTH {
+    /// Step into the container whose opening bracket is at the cursor.
+    /// Returns false if its closing bracket `close` follows at once; the
+    /// cursor is then past that too.
+    fn open(&mut self, close: u8) -> Result<bool, JsonError> {
+        if self.depth == MAX_DEPTH {
             return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
         }
+        self.depth += 1;
         self.pos += 1;
-        self.frames.push(frame);
-        self.expect = expect;
+        self.skip_ws();
+        Ok(!self.close(close))
+    }
+
+    /// Step out of the innermost container if its closing bracket `close`
+    /// is at the cursor.
+    fn close(&mut self, close: u8) -> bool {
+        let at = self.peek() == Some(close);
+        if at {
+            self.pos += 1;
+            self.depth -= 1;
+        }
+        at
+    }
+
+    /// After a member or item: step past a `,` and return true, or past
+    /// the closing bracket `close` and return false.
+    fn next_or_close(&mut self, close: u8, msg: &str) -> Result<bool, JsonError> {
+        self.skip_ws();
+        if self.close(close) {
+            return Ok(false);
+        }
+        if self.peek() != Some(b',') {
+            return Err(self.err(msg));
+        }
+        self.pos += 1;
+        self.skip_ws();
+        Ok(true)
+    }
+
+    /// Read the object at the cursor. `member` gets the cursor on each
+    /// member's value, with the member's unescaped key, and must read
+    /// that value.
+    pub(crate) fn object(
+        &mut self,
+        mut member: impl FnMut(&mut Self, &str) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        let first_key = self.keys.len();
+        // One bit per key of this object, from `key_bit`: a key whose bit
+        // is clear cannot be a duplicate, so most keys skip the scan.
+        let mut seen = 0;
+        let mut more = self.open(b'}')?;
+        while more {
+            let key = self.key(first_key, &mut seen)?;
+            member(self, &key)?;
+            more = self.next_or_close(b'}', "expected ',' or '}' in object")?;
+        }
+        self.keys.truncate(first_key);
         Ok(())
     }
 
-    fn close(&mut self) -> Token<'static> {
-        self.pos += 1;
-        self.expect = Expect::AfterValue;
-        match self.frames.pop().expect("a container is open") {
-            Frame::Object { first_key } => {
-                let keys_len = first_key.checked_sub(1).map_or(0, |i| self.key_ends[i]);
-                self.keys.truncate(keys_len);
-                self.key_ends.truncate(first_key);
-                Token::EndObject
-            }
-            Frame::Array => Token::EndArray,
-        }
-    }
-
-    /// Read a member's key and its `:`, rejecting a key the innermost
-    /// object already has.
-    fn key(&mut self) -> Result<Token<'_>, JsonError> {
-        let Some(&Frame::Object { first_key }) = self.frames.last() else {
-            unreachable!("keys are read inside objects only");
-        };
+    /// Read a member's key and its `:`, rejecting a key the object whose
+    /// keys start at `first_key`, and whose key bits are `seen`, already
+    /// has.
+    fn key(&mut self, first_key: usize, seen: &mut u64) -> Result<Cow<'a, str>, JsonError> {
         if self.peek() != Some(b'"') {
             return Err(self.err("expected '\"'"));
         }
-        let start = self.keys.len();
-        if let Some(run) = scan_string(self.text, &mut self.pos, &mut self.keys)? {
-            self.keys.push_str(&self.text[run]);
+        let text = self.text;
+        self.scratch.clear();
+        let key = match scan_string(text, &mut self.pos, &mut self.scratch)? {
+            Some(run) => Cow::Borrowed(&text[run]),
+            None => Cow::Owned(self.scratch.clone()),
+        };
+        let bit = key_bit(&key);
+        if *seen & bit != 0 && self.keys[first_key..].contains(&key) {
+            return Err(self.err(format!("duplicate object key `{key}`")));
         }
-        let key = &self.keys[start..];
-        let mut from = first_key.checked_sub(1).map_or(0, |i| self.key_ends[i]);
-        for &to in &self.key_ends[first_key..] {
-            if &self.keys[from..to] == key {
-                return Err(self.err(format!("duplicate object key `{key}`")));
-            }
-            from = to;
-        }
-        self.key_ends.push(self.keys.len());
+        *seen |= bit;
+        self.keys.push(key.clone());
         self.skip_ws();
         if self.peek() != Some(b':') {
             return Err(self.err("expected ':'"));
         }
         self.pos += 1;
-        self.expect = Expect::Value;
-        Ok(Token::Key(&self.keys[start..]))
+        self.skip_ws();
+        Ok(key)
     }
 
-    fn value(&mut self) -> Result<Token<'_>, JsonError> {
-        let tok = match self.peek() {
-            Some(b'{') => {
-                let first_key = self.key_ends.len();
-                self.open(Frame::Object { first_key }, Expect::FirstKey)?;
-                return Ok(Token::BeginObject);
-            }
-            Some(b'[') => {
-                self.open(Frame::Array, Expect::FirstItem)?;
-                return Ok(Token::BeginArray);
-            }
-            Some(b'"') => {
-                self.expect = Expect::AfterValue;
-                self.scratch.clear();
-                return Ok(
-                    match scan_string(self.text, &mut self.pos, &mut self.scratch)? {
-                        Some(run) => Token::Str(&self.text[run]),
-                        None => Token::Str(&self.scratch),
-                    },
-                );
-            }
-            Some(b't') => self.literal("true", Token::Bool(true))?,
-            Some(b'f') => self.literal("false", Token::Bool(false))?,
-            Some(b'n') => self.literal("null", Token::Null)?,
-            Some(c) if c == b'-' || c.is_ascii_digit() => Token::Num(self.number()?),
-            Some(c) => return Err(self.err(format!("unexpected character '{}'", c as char))),
-            None => return Err(self.err("unexpected end of input")),
-        };
-        self.expect = Expect::AfterValue;
-        Ok(tok)
-    }
-
-    fn literal(&mut self, word: &str, tok: Token<'static>) -> Result<Token<'static>, JsonError> {
-        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(tok)
-        } else {
-            Err(self.err(format!("expected `{word}`")))
+    /// Read the array at the cursor. `item` gets the cursor on each item
+    /// and must read it.
+    pub(crate) fn array(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        let mut more = self.open(b']')?;
+        while more {
+            item(self)?;
+            more = self.next_or_close(b']', "expected ',' or ']' in array")?;
         }
+        Ok(())
     }
 
-    fn number(&mut self) -> Result<f64, JsonError> {
+    /// Read the string at the cursor, unescaped. A string without escapes
+    /// borrows the input.
+    pub(crate) fn string(&mut self) -> Result<&str, JsonError> {
+        let text = self.text;
+        self.scratch.clear();
+        Ok(match scan_string(text, &mut self.pos, &mut self.scratch)? {
+            Some(run) => &text[run],
+            None => &self.scratch,
+        })
+    }
+
+    /// Read the literal (`true`, `false` or `null`) at the cursor.
+    pub(crate) fn literal(&mut self) -> Result<JsonValue, JsonError> {
+        let (word, value) = match self.peek() {
+            Some(b't') => ("true", JsonValue::Bool(true)),
+            Some(b'f') => ("false", JsonValue::Bool(false)),
+            _ => ("null", JsonValue::Null),
+        };
+        if !self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
+            return Err(self.err(format!("expected `{word}`")));
+        }
+        self.pos += word.len();
+        Ok(value)
+    }
+
+    /// Read the number at the cursor. The scan takes the longest run of
+    /// `-?\d*(\.\d*)?([eE][+-]?\d*)?` and `str::parse` decides what it
+    /// accepts; a run of the form `-?\d+(\.\d+)?` with at most
+    /// [`FAST_DIGITS`] digits is computed directly, as `m / 10^f` with
+    /// both operands exact, which is the correctly rounded value `parse`
+    /// returns too.
+    pub(crate) fn number(&mut self) -> Result<f64, JsonError> {
+        let bytes = self.text.as_bytes();
         let start = self.pos;
-        let digits = |r: &mut Self| {
-            while matches!(r.peek(), Some(c) if c.is_ascii_digit()) {
-                r.pos += 1;
+        let digits = |at: &mut usize, m: &mut u64| {
+            let from = *at;
+            while let Some(&c) = bytes.get(*at).filter(|c| c.is_ascii_digit()) {
+                *m = m.wrapping_mul(10).wrapping_add(u64::from(c - b'0'));
+                *at += 1;
             }
+            *at - from
         };
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+        let mut at = start;
+        let negative = bytes.get(at) == Some(&b'-');
+        at += usize::from(negative);
+        let mut m = 0;
+        let int_digits = digits(&mut at, &mut m);
+        let mut frac_digits = None;
+        if bytes.get(at) == Some(&b'.') {
+            at += 1;
+            frac_digits = Some(digits(&mut at, &mut m));
         }
-        digits(self);
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            digits(self);
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
+        let exponent = matches!(bytes.get(at), Some(b'e' | b'E'));
+        if exponent {
+            at += 1;
+            if matches!(bytes.get(at), Some(b'+' | b'-')) {
+                at += 1;
             }
-            digits(self);
+            digits(&mut at, &mut 0);
+        }
+        self.pos = at;
+        let frac = frac_digits.unwrap_or(0);
+        if !exponent && int_digits > 0 && frac_digits != Some(0) && int_digits + frac <= FAST_DIGITS
+        {
+            let v = m as f64 / POW10[frac];
+            return Ok(if negative { -v } else { v });
         }
         // Every byte scanned is ASCII, so the range is on char boundaries.
-        let text = &self.text[start..self.pos];
+        let text = &self.text[start..at];
         text.parse::<f64>()
             .map_err(|_| self.err(format!("bad number `{text}`")))
     }
+
+    /// Read any value at the cursor, checking it as fully as the other
+    /// readers do.
+    pub(crate) fn skip(&mut self) -> Result<(), JsonError> {
+        match self.kind()? {
+            Kind::Object => self.object(|cur, _| cur.skip()),
+            Kind::Array => self.array(Self::skip),
+            Kind::Str => self.string().map(drop),
+            Kind::Num => self.number().map(drop),
+            Kind::Literal => self.literal().map(drop),
+        }
+    }
+}
+
+/// The index of the first `"` or `\` in `bytes`, eight bytes at a time.
+fn quote_or_backslash(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
+    // High bit set in each byte of `w` that is zero (and, above the
+    // first such byte, possibly in others: only the lowest one is used).
+    let zero = |w: u64| w.wrapping_sub(ONES) & !w & HIGHS;
+    let mut chunks = bytes.chunks_exact(8);
+    for (i, chunk) in chunks.by_ref().enumerate() {
+        let w = u64::from_le_bytes(chunk.try_into().expect("chunks are 8 bytes"));
+        let hits = zero(w ^ (ONES * u64::from(b'"'))) | zero(w ^ (ONES * u64::from(b'\\')));
+        if hits != 0 {
+            return Some(i * 8 + hits.trailing_zeros() as usize / 8);
+        }
+    }
+    let tail = chunks.remainder();
+    let at = bytes.len() - tail.len();
+    tail.iter()
+        .position(|&b| b == b'"' || b == b'\\')
+        .map(|i| at + i)
+}
+
+/// A key's bit in an object's `seen` mask: equal keys share a bit, and
+/// the keys of a trace event and of its `args` all have distinct ones.
+fn key_bit(key: &str) -> u64 {
+    let b = key.as_bytes();
+    let (first, last) = (b.first().copied(), b.last().copied());
+    let h = usize::from(first.unwrap_or(0)) * 31 + usize::from(last.unwrap_or(0)) + b.len() * 17;
+    1 << (h % 64)
 }
 
 /// Scan the string whose opening quote is at `*pos`, leaving `*pos` just
@@ -540,7 +578,7 @@ fn scan_string(
     let mut escaped = false;
     loop {
         let run = *pos;
-        let Some(len) = bytes[run..].iter().position(|&b| b == b'"' || b == b'\\') else {
+        let Some(len) = quote_or_backslash(&bytes[run..]) else {
             *pos = bytes.len();
             return err(*pos, "unterminated string".into());
         };
@@ -588,6 +626,12 @@ fn scan_string(
         }
     }
 }
+
+#[cfg(test)]
+mod pull;
+
+#[cfg(test)]
+mod props;
 
 #[cfg(test)]
 mod tests {
@@ -735,22 +779,32 @@ mod tests {
     }
 
     #[test]
-    fn reader_borrows_plain_strings_and_unescapes_the_rest() {
-        let text = r#"["plain", "t\u00e9l\u00e9 \"x\"", {"k\n": "v"}]"#;
-        let mut r = Reader::new(text);
+    fn cursor_borrows_plain_strings_and_unescapes_the_rest() {
+        let text = r#"["plain", "t\u00e9l\u00e9 \"x\"", {"k\n": "v", "k": "w\/"}]"#;
+        let input = text.as_bytes().as_ptr_range();
         let mut seen = Vec::new();
-        while let Some(tok) = r.next().unwrap() {
-            if let Token::Str(s) | Token::Key(s) = tok {
-                // A borrowed string points into the input.
-                let borrowed = text.as_bytes().as_ptr_range().contains(&s.as_ptr());
-                seen.push((s.to_owned(), borrowed));
-            }
-        }
+        let mut record = |s: &str| seen.push((s.to_owned(), input.contains(&s.as_ptr())));
+        Cursor::document(text, |cur| {
+            cur.array(|cur| {
+                if cur.kind()? == Kind::Str {
+                    record(cur.string()?);
+                    return Ok(());
+                }
+                cur.object(|cur, key| {
+                    record(key);
+                    record(cur.string()?);
+                    Ok(())
+                })
+            })
+        })
+        .unwrap();
         let want = [
             ("plain", true),
             ("télé \"x\"", false),
             ("k\n", false),
             ("v", true),
+            ("k", true),
+            ("w/", false),
         ];
         let want: Vec<(String, bool)> = want.iter().map(|&(s, b)| (s.to_owned(), b)).collect();
         assert_eq!(seen, want);

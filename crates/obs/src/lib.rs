@@ -28,9 +28,10 @@
 //!   trace diffs, per-core activity timelines and tail forensics, computed
 //!   from a live recorder or from exported trace JSON.
 //! * [`json`] — the crate's one JSON grammar (no external dependency): a
-//!   pull reader that the trace validator streams through and that
-//!   [`json::JsonValue::parse`] builds document trees on, plus a canonical
-//!   serializer.
+//!   direct-descent cursor that the trace validator reads events with and
+//!   that [`json::JsonValue::parse`] builds document trees on, the string
+//!   and integer writers the trace exporter and metric snapshot share, and
+//!   a canonical serializer.
 //! * [`progress`] — host-side progress reporting for long parallel sweeps.
 //! * [`detect`] — streaming detectors over the telemetry plane's closed
 //!   windows: queue saturation, steering livelock (degrade/re-promote

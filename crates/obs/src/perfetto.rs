@@ -11,12 +11,14 @@
 //! consumer core — that separation *is* the finding).
 //!
 //! Export and [`validate`] run after every observed run, so both cost
-//! O(bytes) with no allocation per event: the exporter formats every
-//! event straight into one pre-sized `String`, and the validator streams
-//! the events through the pull reader in [`crate::json`], keeping per
-//! event only the fields it checks.
+//! O(bytes) with no allocation per event. The exporter writes every event
+//! straight into one pre-sized `String` by hand: literals as slices,
+//! integers through the crate's decimal writer, `ts` through an exact µs
+//! writer, and only `dur` through `{:?}`. The validator walks the events
+//! with the cursor in [`crate::json`], keeping per event only the fields
+//! it checks.
 
-use crate::json::{exact_u64, write_json_string, JsonError, Reader, Token};
+use crate::json::{exact_u64, write_json_string, write_u64, Cursor, JsonError, Kind};
 use crate::span::{FlightRecorder, SpanId};
 use sais_sim::SimTime;
 use std::fmt::Write;
@@ -25,6 +27,39 @@ use std::path::Path;
 /// Microseconds-as-f64 for a sim instant (Chrome's `ts` unit).
 fn ts_us(t: SimTime) -> f64 {
     t.as_nanos() as f64 / 1000.0
+}
+
+/// Below this many nanoseconds [`write_ts_us`] writes the decimal itself.
+const EXACT_TS_NS: u64 = 1_000_000_000_000_000;
+
+/// Append `{:?}` of `ns as f64 / 1000.0` (Chrome's `ts`). Below
+/// [`EXACT_TS_NS`] the exact decimal `ns / 1000` has at most 15
+/// significant digits, and every decimal that short is the shortest
+/// string parsing back to its own f64, which is what `{:?}` prints
+/// (with a `.0` on whole numbers). From there on `{:?}` itself runs.
+fn write_ts_us(ns: u64, out: &mut String) {
+    if ns >= EXACT_TS_NS {
+        let _ = write!(out, "{:?}", ns as f64 / 1000.0);
+        return;
+    }
+    write_u64(ns / 1000, out);
+    out.push('.');
+    let mut frac = ns % 1000;
+    if frac == 0 {
+        out.push('0');
+        return;
+    }
+    let mut digits = 3;
+    while frac.is_multiple_of(10) {
+        frac /= 10;
+        digits -= 1;
+    }
+    let mut buf = [b'0'; 3];
+    for d in buf[..digits].iter_mut().rev() {
+        *d = b'0' + (frac % 10) as u8;
+        frac /= 10;
+    }
+    out.push_str(std::str::from_utf8(&buf[..digits]).expect("decimal digits are ASCII"));
 }
 
 /// Bytes reserved per event: a little above a traced run's mean, so the
@@ -42,25 +77,26 @@ pub fn to_chrome_json(rec: &FlightRecorder) -> String {
     let events = pids.len() + rec.track_names().len() + rec.spans().len() + rec.instants().len();
     let mut out = String::with_capacity(64 + EVENT_BYTES * events);
     out.push_str("{\n\"traceEvents\": [\n");
-    // Events are separated by ",\n"; the last one ends with "\n".
+    // Events are separated by ",\n"; the last one ends with "\n". Names
+    // and argument keys go through the JSON string escaper; everything
+    // else is a number or a fixed literal.
     let mut sep = "";
-    // Writing into a `String` cannot fail, so the `fmt::Result`s below
-    // are discarded. Names and argument keys go through the JSON string
-    // escaper; everything else is a number or a fixed literal.
-    for pid in &pids {
-        let _ = write!(
-            out,
-            "{sep}{{\"ph\": \"M\", \"pid\": {pid}, \"name\": \"process_name\", \
-             \"args\": {{\"name\": \"client {pid}\"}}}}"
-        );
+    for &pid in &pids {
+        out.push_str(sep);
+        out.push_str("{\"ph\": \"M\", \"pid\": ");
+        write_u64(pid.into(), &mut out);
+        out.push_str(", \"name\": \"process_name\", \"args\": {\"name\": \"client ");
+        write_u64(pid.into(), &mut out);
+        out.push_str("\"}}");
         sep = ",\n";
     }
     for (pid, tid, name) in rec.track_names() {
-        let _ = write!(
-            out,
-            "{sep}{{\"ph\": \"M\", \"pid\": {pid}, \"tid\": {tid}, \"name\": \"thread_name\", \
-             \"args\": {{\"name\": "
-        );
+        out.push_str(sep);
+        out.push_str("{\"ph\": \"M\", \"pid\": ");
+        write_u64((*pid).into(), &mut out);
+        out.push_str(", \"tid\": ");
+        write_u64((*tid).into(), &mut out);
+        out.push_str(", \"name\": \"thread_name\", \"args\": {\"name\": ");
         write_json_string(name, &mut out);
         out.push_str("}}");
         sep = ",\n";
@@ -76,24 +112,29 @@ pub fn to_chrome_json(rec: &FlightRecorder) -> String {
         write_json_string(s.name, &mut out);
         out.push_str(", \"cat\": ");
         write_json_string(s.cat, &mut out);
-        let _ = write!(
-            out,
-            ", \"ph\": \"X\", \"ts\": {:?}, \"dur\": {:?}, \"pid\": {}, \"tid\": {}, \
-             \"args\": {{\"id\": {i}, \"parent\": ",
-            ts_us(s.start),
-            ts_us(end) - ts_us(s.start),
-            s.pid,
-            s.tid,
-        );
+        out.push_str(", \"ph\": \"X\", \"ts\": ");
+        write_ts_us(s.start.as_nanos(), &mut out);
+        // `dur` is the difference of the two rounded µs floats, which
+        // needs the general float printer. Writing to a `String` cannot
+        // fail.
+        let _ = write!(out, ", \"dur\": {:?}", ts_us(end) - ts_us(s.start));
+        out.push_str(", \"pid\": ");
+        write_u64(s.pid.into(), &mut out);
+        out.push_str(", \"tid\": ");
+        write_u64(s.tid.into(), &mut out);
+        out.push_str(", \"args\": {\"id\": ");
+        write_u64(i as u64, &mut out);
+        out.push_str(", \"parent\": ");
         if s.parent == SpanId::NONE {
             out.push_str("-1");
         } else {
-            let _ = write!(out, "{}", s.parent.0);
+            write_u64(s.parent.0.into(), &mut out);
         }
         for (k, v) in s.args.iter().filter(|(k, _)| !k.is_empty()) {
             out.push_str(", ");
             write_json_string(k, &mut out);
-            let _ = write!(out, ": {v}");
+            out.push_str(": ");
+            write_u64(*v, &mut out);
         }
         out.push_str("}}");
         sep = ",\n";
@@ -102,15 +143,15 @@ pub fn to_chrome_json(rec: &FlightRecorder) -> String {
         out.push_str(sep);
         out.push_str("{\"name\": ");
         write_json_string(ev.name, &mut out);
-        let _ = write!(
-            out,
-            ", \"ph\": \"i\", \"ts\": {:?}, \"pid\": {}, \"tid\": {}, \
-             \"s\": \"t\", \"args\": {{\"value\": {}}}}}",
-            ts_us(ev.time),
-            ev.pid,
-            ev.tid,
-            ev.value,
-        );
+        out.push_str(", \"ph\": \"i\", \"ts\": ");
+        write_ts_us(ev.time.as_nanos(), &mut out);
+        out.push_str(", \"pid\": ");
+        write_u64(ev.pid.into(), &mut out);
+        out.push_str(", \"tid\": ");
+        write_u64(ev.tid.into(), &mut out);
+        out.push_str(", \"s\": \"t\", \"args\": {\"value\": ");
+        write_u64(ev.value, &mut out);
+        out.push_str("}}");
         sep = ",\n";
     }
     if events > 0 {
@@ -188,90 +229,84 @@ pub fn validate(text: &str) -> Result<TraceStats, String> {
 /// Read the document, keeping an [`EventRecord`] per `traceEvents` entry;
 /// `None` if the root is not an object with a `traceEvents` array.
 fn read_events(text: &str) -> Result<Option<Vec<EventRecord>>, JsonError> {
-    let mut r = Reader::new(text);
-    let mut events = None;
-    if r.enter(Token::BeginObject)? {
-        while let Some(Token::Key(key)) = r.next()? {
-            if key == "traceEvents" {
-                events = read_event_array(&mut r)?;
-            } else {
-                r.value_with(|_| ())?;
-            }
+    Cursor::document(text, |cur| {
+        if cur.kind()? != Kind::Object {
+            cur.skip()?;
+            return Ok(None);
         }
-    }
-    r.end()?;
-    Ok(events)
-}
-
-/// Read the `traceEvents` value: its records if it is an array.
-fn read_event_array(r: &mut Reader<'_>) -> Result<Option<Vec<EventRecord>>, JsonError> {
-    if !r.enter(Token::BeginArray)? {
-        return Ok(None);
-    }
-    let mut events = Vec::new();
-    loop {
-        let ev = match r.next()? {
-            Some(Token::EndArray) => return Ok(Some(events)),
-            Some(Token::BeginObject) => read_event(r)?,
-            Some(Token::BeginArray) => {
-                r.skip_container()?;
-                EventRecord::default()
+        let mut events = None;
+        cur.object(|cur, key| {
+            if key != "traceEvents" || cur.kind()? != Kind::Array {
+                return cur.skip();
             }
-            _ => EventRecord::default(),
-        };
-        events.push(ev);
+            let mut records = Vec::new();
+            cur.array(|cur| {
+                records.push(if cur.kind()? == Kind::Object {
+                    read_event(cur)?
+                } else {
+                    cur.skip()?;
+                    EventRecord::default()
+                });
+                Ok(())
+            })?;
+            events = Some(records);
+            Ok(())
+        })?;
+        Ok(events)
+    })
+}
+
+/// The number at the cursor, or `None` once any other value is read.
+fn num(cur: &mut Cursor<'_>) -> Result<Option<f64>, JsonError> {
+    if cur.kind()? == Kind::Num {
+        cur.number().map(Some)
+    } else {
+        cur.skip().map(|()| None)
     }
 }
 
-fn num(tok: Token<'_>) -> Option<f64> {
-    match tok {
-        Token::Num(n) => Some(n),
-        _ => None,
-    }
+fn exact_num(cur: &mut Cursor<'_>) -> Result<Option<u64>, JsonError> {
+    Ok(num(cur)?.and_then(exact_u64))
 }
 
-fn exact_num(tok: Token<'_>) -> Option<u64> {
-    num(tok).and_then(exact_u64)
+/// Read the value at the cursor: whether it is a string.
+fn is_str(cur: &mut Cursor<'_>) -> Result<bool, JsonError> {
+    let is = cur.kind()? == Kind::Str;
+    cur.skip()?;
+    Ok(is)
 }
 
-fn is_str(tok: Token<'_>) -> bool {
-    matches!(tok, Token::Str(_))
-}
-
-/// Read the members of an event object whose `{` was just read.
-fn read_event(r: &mut Reader<'_>) -> Result<EventRecord, JsonError> {
+/// Read the event object at the cursor.
+fn read_event(cur: &mut Cursor<'_>) -> Result<EventRecord, JsonError> {
     let mut ev = EventRecord::default();
-    while let Some(Token::Key(key)) = r.next()? {
+    cur.object(|cur, key| {
         match key {
-            "ph" => {
-                ev.ph = r.value_with(|tok| match tok {
-                    Token::Str("X") => Phase::Span,
-                    Token::Str("i") => Phase::Instant,
-                    Token::Str("M") => Phase::Metadata,
-                    Token::Str(other) => Phase::Other(other.into()),
-                    _ => Phase::Missing,
-                })?
-            }
-            "name" => ev.name = r.value_with(is_str)?,
-            "cat" => ev.cat = r.value_with(is_str)?,
-            "pid" => ev.pid = r.value_with(exact_num)?,
-            "tid" => ev.tid = r.value_with(exact_num)?,
-            "ts" => ev.ts = r.value_with(num)?,
-            "dur" => ev.dur = r.value_with(num)?,
-            "args" => {
-                if r.enter(Token::BeginObject)? {
-                    while let Some(Token::Key(key)) = r.next()? {
-                        match key {
-                            "id" => ev.id = r.value_with(exact_num)?,
-                            "parent" => ev.parent = r.value_with(num)?,
-                            _ => r.value_with(|_| ())?,
-                        }
-                    }
+            "ph" if cur.kind()? == Kind::Str => {
+                ev.ph = match cur.string()? {
+                    "X" => Phase::Span,
+                    "i" => Phase::Instant,
+                    "M" => Phase::Metadata,
+                    other => Phase::Other(other.into()),
                 }
             }
-            _ => r.value_with(|_| ())?,
+            "name" => ev.name = is_str(cur)?,
+            "cat" => ev.cat = is_str(cur)?,
+            "pid" => ev.pid = exact_num(cur)?,
+            "tid" => ev.tid = exact_num(cur)?,
+            "ts" => ev.ts = num(cur)?,
+            "dur" => ev.dur = num(cur)?,
+            "args" if cur.kind()? == Kind::Object => cur.object(|cur, key| {
+                match key {
+                    "id" => ev.id = exact_num(cur)?,
+                    "parent" => ev.parent = num(cur)?,
+                    _ => cur.skip()?,
+                }
+                Ok(())
+            })?,
+            _ => cur.skip()?,
         }
-    }
+        Ok(())
+    })?;
     Ok(ev)
 }
 
@@ -348,7 +383,7 @@ fn check_events(events: &[EventRecord]) -> Result<TraceStats, String> {
 }
 
 #[cfg(test)]
-mod props;
+pub(crate) mod props;
 
 #[cfg(test)]
 mod tests {
@@ -398,6 +433,48 @@ mod tests {
             to_chrome_json(&FlightRecorder::disabled()),
             "{\n\"traceEvents\": [\n],\n\"displayTimeUnit\": \"ns\"\n}\n"
         );
+    }
+
+    fn ts_written(ns: u64) -> String {
+        let mut out = String::new();
+        write_ts_us(ns, &mut out);
+        out
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn ts_writer_prints_what_debug_prints(
+            ns in 0u64..EXACT_TS_NS,
+            late in EXACT_TS_NS..=u64::MAX,
+        ) {
+            for ns in [ns, ns / 1000 * 1000, ns % 1_000_000, late] {
+                proptest::prop_assert_eq!(ts_written(ns), format!("{:?}", ns as f64 / 1000.0));
+            }
+        }
+    }
+
+    #[test]
+    fn ts_writer_edges() {
+        for ns in [
+            0,
+            1,
+            999,
+            1000,
+            1001,
+            10,
+            100,
+            1010,
+            EXACT_TS_NS - 1,
+            EXACT_TS_NS,
+        ] {
+            assert_eq!(
+                ts_written(ns),
+                format!("{:?}", ns as f64 / 1000.0),
+                "{ns} ns"
+            );
+        }
+        assert_eq!(ts_written(EXACT_TS_NS - 1), "999999999999.999");
+        assert_eq!(ts_written(1010), "1.01");
     }
 
     #[test]

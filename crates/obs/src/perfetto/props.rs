@@ -95,7 +95,7 @@ const NAMES: [&str; 4] = ["read", "strip", "irq", "copy"];
 /// none) and close innermost first. For an even number of ops every span
 /// is closed at the end and the export is valid; otherwise spans left open
 /// export with zero duration, and their children escape them.
-fn recorder(ops: &[(u8, u64)]) -> FlightRecorder {
+pub(crate) fn recorder(ops: &[(u8, u64)]) -> FlightRecorder {
     let mut r = FlightRecorder::enabled(64);
     let mut now = 0u64;
     let mut open: Vec<SpanId> = Vec::new();
@@ -222,7 +222,7 @@ fn mutate_tree(doc: &mut JsonValue, kind: u8, x: u64) -> bool {
 
 /// A text-level mutation of serialized JSON. Returns whether it keeps the
 /// document equivalent.
-fn mutate_text(text: &mut String, kind: u8, x: u64) -> bool {
+pub(crate) fn mutate_text(text: &mut String, kind: u8, x: u64) -> bool {
     match kind {
         // Spell a key with a `\u` escape: it must still read as that key.
         7 => {
@@ -238,22 +238,54 @@ fn mutate_text(text: &mut String, kind: u8, x: u64) -> bool {
             }
             true
         }
-        // Truncate at a random byte (the export is ASCII).
+        // Truncate at a random byte (exports are ASCII; other text is cut
+        // at the char boundary at or below it).
         8 => {
-            text.truncate(x as usize % (text.len() + 1));
+            let at = char_floor(text, x as usize % (text.len() + 1));
+            text.truncate(at);
             false
         }
-        // Overwrite a byte with a character that matters to the grammar.
+        // Overwrite a character with one that matters to the grammar.
         _ => {
             let set = b"{}[],:\"\\ -0.eEx";
             if !text.is_empty() {
-                let at = x as usize % text.len();
+                let at = char_floor(text, x as usize % text.len());
+                let end = at + text[at..].chars().next().map_or(1, char::len_utf8);
                 let c = set[(x / 7) as usize % set.len()] as char;
-                text.replace_range(at..at + 1, c.encode_utf8(&mut [0; 4]));
+                text.replace_range(at..end, c.encode_utf8(&mut [0; 4]));
             }
             false
         }
     }
+}
+
+/// The char boundary of `text` at or below byte `at`.
+fn char_floor(text: &str, mut at: usize) -> usize {
+    while !text.is_char_boundary(at) {
+        at -= 1;
+    }
+    at
+}
+
+/// `export` with the edits of `plan` (kinds 0–9) applied: tree edits to
+/// its parsed document, then text edits to that document re-serialized.
+/// Returns the text and whether the edits keep it equivalent.
+pub(crate) fn mutated(export: &str, plan: &[(u8, u64)]) -> (String, bool) {
+    let mut doc = JsonValue::parse(export).expect("the export parses");
+    let mut benign = true;
+    let mut text_edits = Vec::new();
+    for &(kind, x) in plan {
+        if kind < 7 {
+            benign &= mutate_tree(&mut doc, kind, x);
+        } else {
+            text_edits.push((kind, x));
+        }
+    }
+    let mut text = doc.to_json();
+    for (kind, x) in text_edits {
+        benign &= mutate_text(&mut text, kind, x);
+    }
+    (text, benign)
 }
 
 /// Both validators on `text`. The tree walk runs `JsonValue::parse`, so
@@ -276,20 +308,7 @@ proptest! {
             prop_assert!(clean.is_ok(), "closed recorder rejected: {:?}\n{}", clean, export);
         }
         for plan in &edits {
-            let mut doc = JsonValue::parse(&export).expect("the export parses");
-            let mut benign = true;
-            let mut text_edits = Vec::new();
-            for &(kind, x) in plan {
-                if kind < 7 {
-                    benign &= mutate_tree(&mut doc, kind, x);
-                } else {
-                    text_edits.push((kind, x));
-                }
-            }
-            let mut text = doc.to_json();
-            for (kind, x) in text_edits {
-                benign &= mutate_text(&mut text, kind, x);
-            }
+            let (text, benign) = mutated(&export, plan);
             let got = check(&text)?;
             if benign {
                 prop_assert_eq!(&got, &clean, "equivalent document: {}", text);

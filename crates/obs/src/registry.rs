@@ -8,6 +8,7 @@
 //! collect pass over the components (pull model), so registration costs
 //! the hot paths nothing.
 
+use crate::json::{write_json_string, write_u64};
 use sais_metrics::Histogram;
 use sais_sim::SimTime;
 
@@ -143,52 +144,47 @@ fn json_f64(v: f64) -> String {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
+/// Append one `"name": value` line per entry of a snapshot section,
+/// the first on a new line after the section's `{`.
+fn write_entries<T>(entries: &[(String, T)], out: &mut String, value: impl Fn(&T, &mut String)) {
+    let mut sep = "\n    ";
+    for (name, v) in entries {
+        out.push_str(sep);
+        write_json_string(name, out);
+        out.push_str(": ");
+        value(v, out);
+        sep = ",\n    ";
+    }
 }
 
 impl MetricSnapshot {
     /// Serialize as JSON (`sais-metrics-snapshot/v1`).
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n  \"schema\": \"sais-metrics-snapshot/v1\",\n");
-        s.push_str(&format!("  \"sim_time_ns\": {},\n", self.time.as_nanos()));
-        s.push_str("  \"counters\": {");
-        for (i, (n, v)) in self.counters.iter().enumerate() {
-            let sep = if i == 0 { "\n" } else { ",\n" };
-            s.push_str(&format!("{sep}    \"{}\": {v}", json_escape(n)));
-        }
+        s.push_str("  \"sim_time_ns\": ");
+        write_u64(self.time.as_nanos(), &mut s);
+        s.push_str(",\n  \"counters\": {");
+        write_entries(&self.counters, &mut s, |&v, s| write_u64(v, s));
         s.push_str("\n  },\n  \"gauges\": {");
-        for (i, (n, v)) in self.gauges.iter().enumerate() {
-            let sep = if i == 0 { "\n" } else { ",\n" };
-            s.push_str(&format!(
-                "{sep}    \"{}\": {}",
-                json_escape(n),
-                json_f64(*v)
-            ));
-        }
+        write_entries(&self.gauges, &mut s, |&v, s| s.push_str(&json_f64(v)));
         s.push_str("\n  },\n  \"histograms\": {");
-        for (i, (n, h)) in self.hists.iter().enumerate() {
-            let sep = if i == 0 { "\n" } else { ",\n" };
-            s.push_str(&format!(
-                "{sep}    \"{}\": {{\"count\": {}, \"mean_ns\": {}, \"min_ns\": {}, \
-                 \"max_ns\": {}, \"p50_ns\": {}, \"p90_ns\": {}, \"p99_ns\": {}}}",
-                json_escape(n),
-                h.count,
-                json_f64(h.mean),
-                h.min,
-                h.max,
-                h.p50,
-                h.p90,
-                h.p99
-            ));
-        }
+        write_entries(&self.hists, &mut s, |h, s| {
+            s.push_str("{\"count\": ");
+            write_u64(h.count, s);
+            s.push_str(", \"mean_ns\": ");
+            s.push_str(&json_f64(h.mean));
+            for (field, v) in [
+                (", \"min_ns\": ", h.min),
+                (", \"max_ns\": ", h.max),
+                (", \"p50_ns\": ", h.p50),
+                (", \"p90_ns\": ", h.p90),
+                (", \"p99_ns\": ", h.p99),
+            ] {
+                s.push_str(field);
+                write_u64(v, s);
+            }
+            s.push('}');
+        });
         s.push_str("\n  }\n}\n");
         s
     }
@@ -306,5 +302,74 @@ mod tests {
                 .and_then(JsonValue::as_f64),
             Some(0.0)
         );
+    }
+
+    /// The snapshot's exact bytes: section layout, separators, integer
+    /// and float rendering, and an empty registry.
+    #[test]
+    fn snapshot_json_bytes_are_pinned() {
+        let mut reg = MetricRegistry::new();
+        reg.counter("irq.routed", 256);
+        reg.counter("sim.events", u64::MAX);
+        reg.gauge("mem.l2_miss_rate", 0.015);
+        reg.gauge("bad", f64::NAN);
+        let mut h = Histogram::new();
+        for v in [1_000u64, 2_000, 4_000] {
+            h.record(v);
+        }
+        reg.histogram("stage.irq_to_handler", &h);
+        reg.histogram("empty", &Histogram::new());
+        let golden = r#"{
+  "schema": "sais-metrics-snapshot/v1",
+  "sim_time_ns": 42000,
+  "counters": {
+    "irq.routed": 256,
+    "sim.events": 18446744073709551615
+  },
+  "gauges": {
+    "mem.l2_miss_rate": 0.015,
+    "bad": 0
+  },
+  "histograms": {
+    "stage.irq_to_handler": {"count": 3, "mean_ns": 2333.3333333333335, "min_ns": 1000, "max_ns": 4000, "p50_ns": 1920, "p90_ns": 3840, "p99_ns": 3840},
+    "empty": {"count": 0, "mean_ns": 0.0, "min_ns": 0, "max_ns": 0, "p50_ns": 0, "p90_ns": 0, "p99_ns": 0}
+  }
+}
+"#;
+        assert_eq!(reg.snapshot(SimTime::from_micros(42)).to_json(), golden);
+        assert_eq!(
+            MetricRegistry::new().snapshot(SimTime::ZERO).to_json(),
+            "{\n  \"schema\": \"sais-metrics-snapshot/v1\",\n  \"sim_time_ns\": 0,\n  \
+             \"counters\": {\n  },\n  \"gauges\": {\n  },\n  \"histograms\": {\n  }\n}\n"
+        );
+    }
+
+    #[test]
+    fn names_with_control_characters_round_trip() {
+        let names = [
+            "line\nbreak",
+            "tab\t\r",
+            "ctl\u{1}\u{8}\u{c}\u{1f}",
+            "q\"b\\s",
+        ];
+        let mut reg = MetricRegistry::new();
+        for (i, name) in names.iter().enumerate() {
+            reg.counter(name, i as u64);
+            reg.gauge(name, i as f64 + 0.5);
+        }
+        let json = reg.snapshot(SimTime::ZERO).to_json();
+        assert!(json.contains(r#""line\nbreak": 0"#), "{json}");
+        assert!(json.contains(r#""ctl\u0001\b\f\u001f": 2"#), "{json}");
+        let v = JsonValue::parse(&json).expect("escaped names parse");
+        for (i, name) in names.iter().enumerate() {
+            let counter = v.get("counters").and_then(|c| c.get(name));
+            assert_eq!(
+                counter.and_then(JsonValue::as_u64),
+                Some(i as u64),
+                "{name:?}"
+            );
+            let gauge = v.get("gauges").and_then(|g| g.get(name));
+            assert_eq!(gauge.and_then(JsonValue::as_f64), Some(i as f64 + 0.5));
+        }
     }
 }
