@@ -1,18 +1,11 @@
-//! Print ns/line for every memory-hierarchy access regime, with the
-//! extent summaries in whichever mode the environment selects
-//! (`SAIS_MEM_NO_EXTENTS=1` forces the per-line walk process-wide).
+//! Print `BENCH_engine.json`: ns/line for every memory-hierarchy access
+//! regime, with the extent summaries in whichever mode the environment
+//! selects (`SAIS_MEM_NO_EXTENTS=1` forces the per-line walk
+//! process-wide). Refresh the committed record with
+//! `cargo run --release -p sais-bench --example microtouch > BENCH_engine.json`.
+
+use sais_bench::microtouch::{run_regimes, to_json};
 
 fn main() {
-    let mode = if std::env::var_os("SAIS_MEM_NO_EXTENTS").is_some() {
-        "extents off"
-    } else {
-        "extents on"
-    };
-    println!("microtouch regimes ({mode}):");
-    for r in sais_bench::microtouch::run_regimes() {
-        println!(
-            "  {:16} {:>7.2} ns/line  ({} lines)",
-            r.regime, r.ns_per_line, r.lines
-        );
-    }
+    print!("{}", to_json(&run_regimes()));
 }

@@ -6,9 +6,9 @@
 //! residency summaries) affects each differently. This module pins a
 //! number on every regime so a perf change can be attributed — "hits got
 //! 3× cheaper, streams are a wash" — instead of showing up only as a
-//! scenario-level blur. The figure harness never calls this; results are
-//! recorded additively in `BENCH_engine.json` (same schema tag) and
-//! printed by the `microtouch` example.
+//! scenario-level blur. The figure harness never calls this; the
+//! `microtouch` example prints [`to_json`] of one run, which is the
+//! committed record `BENCH_engine.json` at the repository root.
 //!
 //! Regimes:
 //!
@@ -276,9 +276,54 @@ pub fn run_regimes() -> Vec<RegimeResult> {
     ]
 }
 
+/// Render `regimes` as `BENCH_engine.json`: one line per regime, and
+/// whether the extent summaries were on (`SAIS_MEM_NO_EXTENTS=1` is off).
+pub fn to_json(regimes: &[RegimeResult]) -> String {
+    let on = regimes.iter().all(|r| r.paths.enabled);
+    let rows: Vec<String> = regimes
+        .iter()
+        .map(|r| {
+            format!(
+                "    {{\"regime\": \"{}\", \"ns_per_line\": {:.3}, \"lines\": {}}}",
+                r.regime, r.ns_per_line, r.lines
+            )
+        })
+        .collect();
+    format!(
+        "{{\n  \"schema\": \"sais-microtouch/v1\",\n  \"extents\": \"{}\",\n  \"microtouch\": [\n{}\n  ]\n}}\n",
+        if on { "on" } else { "off" },
+        rows.join(",\n")
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sais_obs::json::JsonValue;
+
+    #[test]
+    fn committed_record_is_what_to_json_renders() {
+        let text = include_str!("../../../BENCH_engine.json");
+        let doc = JsonValue::parse(text).expect("valid JSON");
+        let field = |r: &JsonValue, key| r.get(key).and_then(JsonValue::as_f64).unwrap();
+        let enabled = doc.get("extents").and_then(JsonValue::as_str) == Some("on");
+        let regimes: Vec<RegimeResult> = doc
+            .get("microtouch")
+            .and_then(JsonValue::as_array)
+            .expect("microtouch section")
+            .iter()
+            .map(|r| RegimeResult {
+                regime: String::leak(r.get("regime").and_then(JsonValue::as_str).unwrap().into()),
+                ns_per_line: field(r, "ns_per_line"),
+                lines: field(r, "lines") as u64,
+                paths: ExtentStats {
+                    enabled,
+                    ..ExtentStats::default()
+                },
+            })
+            .collect();
+        assert_eq!(to_json(&regimes), text);
+    }
 
     #[test]
     fn regimes_touch_the_lines_they_claim() {

@@ -1,7 +1,7 @@
 //! The `--timeseries` export plane: deterministic cross-shard aggregation
 //! of windowed telemetry into one `sais-timeseries/v1` JSONL document.
 //!
-//! Every figure binary (and `perf_baseline`) accepts `--timeseries <path>`.
+//! Every figure binary accepts `--timeseries <path>`.
 //! When active, the sweep runner enables [`ObsConfig::timeseries`] on every
 //! grid cell — sampling is bit-inert, so the figure CSV does not move — and
 //! folds each run's [`TelemetrySeries`] into a process-global [`Collector`]
@@ -16,8 +16,8 @@
 //! `(task, policy, epoch)` order. CI `cmp`s the JSONL across
 //! `--shards {1,2}` to pin the guarantee.
 //!
-//! Binaries that never run a sweep grid (`fig12_memsim`, the ablations,
-//! `perf_baseline`) fall back to the instrumented demo scenario, whose
+//! Binaries that never run a sweep grid (`fig12_memsim`, the ablations)
+//! fall back to the instrumented demo scenario, whose
 //! `ObsConfig::full()` has the sampler on.
 //!
 //! [`ObsConfig::timeseries`]: sais_core::scenario::ObsConfig

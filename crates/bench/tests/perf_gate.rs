@@ -1,131 +1,76 @@
-//! Subprocess tests of the `perf_baseline --compare` trajectory gate,
-//! driven through the `SAIS_PERF_SYNTHETIC` and `SAIS_BENCH_HISTORY`
-//! hooks so no actual measurement (minutes of release-mode simulation)
-//! happens.
+//! Subprocess tests of `perf_gate`'s exit codes. Stub "perfbench"
+//! scripts that print a canned result line stand in for the two builds.
 
-use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::path::{Path, PathBuf};
+use std::process::Command;
 
-fn run_gate(history: &PathBuf, synthetic_eps: &str, extra: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_perf_baseline"))
-        .arg("--compare")
-        .args(extra)
-        .env("SAIS_BENCH_HISTORY", history)
-        .env("SAIS_PERF_SYNTHETIC", synthetic_eps)
+/// A result line carrying every end-to-end metric of `BENCHMARK.json`.
+fn result_line(correct: bool, failed: u32, wall_s: f64) -> String {
+    let others: String = ["run_ms_p50", "run_ms_p90", "setup_s", "peak_rss_mb"]
+        .iter()
+        .chain(&["gain_err_3gig_pp", "gain_err_1gig_pp", "gain_err_inmem_pp"])
+        .map(|name| format!(", \"{name}\": {{\"value\": 1.5, \"unit\": \"x\"}}"))
+        .collect();
+    format!(
+        "{{\"correct\": {correct}, \"attempted\": 64, \"failed\": {failed}, \
+         \"metrics\": {{\"wall_s\": {{\"value\": {wall_s:?}, \"unit\": \"s\"}}{others}}}}}"
+    )
+}
+
+fn stub(dir: &Path, name: &str, last_line: &str) -> PathBuf {
+    use std::os::unix::fs::PermissionsExt;
+    let path = dir.join(name);
+    let script = format!("#!/bin/sh\necho 'digest stub seed=1 0'\necho '{last_line}'\n");
+    std::fs::write(&path, script).unwrap();
+    std::fs::set_permissions(&path, std::fs::Permissions::from_mode(0o755)).unwrap();
+    path
+}
+
+fn gate<P: AsRef<std::ffi::OsStr>>(args: &[P]) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_perf_gate"))
+        .args(args)
         .output()
-        .expect("perf_baseline runs")
-}
-
-fn scratch_history(name: &str) -> PathBuf {
-    let p = std::env::temp_dir().join(format!("sais_gate_{}_{name}.jsonl", std::process::id()));
-    let _ = std::fs::remove_file(&p);
-    p
+        .expect("perf_gate runs");
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    (out.status.code(), stdout)
 }
 
 #[test]
-fn gate_passes_fresh_then_fails_synthetic_regression() {
-    let history = scratch_history("regression");
-    // First run: no history, vacuous pass; seeds the trajectory.
-    let out = run_gate(&history, "100000", &[]);
-    assert!(
-        out.status.success(),
-        "first run must pass: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(history.exists(), "gate appends the measurement");
-    // Same throughput again: within tolerance, passes, appends.
-    let out = run_gate(&history, "100000", &[]);
-    assert!(out.status.success());
-    // >20% regression: the gate must exit 3.
-    let out = run_gate(&history, "79000", &[]);
-    assert_eq!(
-        out.status.code(),
-        Some(3),
-        "synthetic 21% regression must trip the gate: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("REGRESSION"), "{stderr}");
-    // The failure diagnostic names the best run's provenance and the
-    // per-phase attribution diff with its worst mover.
-    assert!(stderr.contains("best run:"), "{stderr}");
-    assert!(stderr.contains("rev "), "{stderr}");
-    assert!(stderr.contains("phase engine"), "{stderr}");
-    assert!(stderr.contains("worst-moved"), "{stderr}");
-    // A 19% drop stays within the 20% tolerance.
-    let out = run_gate(&history, "81000", &[]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    // Every run (pass or fail) extended the trajectory.
-    let lines = std::fs::read_to_string(&history).unwrap().lines().count();
-    assert_eq!(lines, 4);
-    let _ = std::fs::remove_file(&history);
-}
+fn exit_codes_follow_the_stub_results() {
+    let dir = std::env::temp_dir().join(format!("sais_perf_gate_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // Every script is written before any runs: executing a file that a
+    // concurrently forked child still holds open for writing fails.
+    let equal = stub(&dir, "equal", &result_line(true, 0, 0.3));
+    let slower = stub(&dir, "slower", &result_line(true, 0, 0.42));
+    let incorrect = stub(&dir, "incorrect", &result_line(false, 0, 0.3));
+    let failing = stub(&dir, "failing", &result_line(true, 1, 0.3));
+    let full = result_line(true, 0, 0.3);
+    let truncated = stub(&dir, "truncated", &full[..full.len() - 20]);
 
-#[test]
-fn gate_trips_on_mem_phase_regression_alone() {
-    let history = scratch_history("mem_phase");
-    let out = run_gate(&history, "100000", &[]);
-    assert!(
-        out.status.success(),
-        "seed run must pass: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    // Synthetic phases scale with the rate, so a +30% events/sec run
-    // carries a mem phase 30% above the recorded floor: the phase gate
-    // must exit 3 even though whole-scenario throughput improved.
-    let out = run_gate(&history, "130000", &[]);
-    assert_eq!(
-        out.status.code(),
-        Some(3),
-        "mem-phase regression must trip the gate: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("MEM-PHASE REGRESSION"), "{stderr}");
-    // The floor stays the cheapest run ever (the 100k seed), so +15%
-    // above it passes — within the 20% phase tolerance.
-    let out = run_gate(&history, "115000", &[]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let _ = std::fs::remove_file(&history);
-}
+    let (code, table) = gate(&[&equal, &equal]);
+    assert_eq!(code, Some(0), "{table}");
+    // A header, then one row per (workload, metric).
+    assert_eq!(table.lines().count(), 1 + 3 * 8, "{table}");
 
-#[test]
-fn compare_mode_never_rewrites_the_committed_baseline() {
-    let history = scratch_history("baseline_untouched");
-    let baseline = sais_bench::perf::baseline_path();
-    let before = std::fs::read_to_string(&baseline).ok();
-    let out = run_gate(&history, "100000", &[]);
-    assert!(out.status.success());
-    assert_eq!(
-        std::fs::read_to_string(&baseline).ok(),
-        before,
-        "--compare must not touch BENCH_engine.json"
-    );
-    let _ = std::fs::remove_file(&history);
-}
+    let (code, table) = gate(&[&equal, &slower]);
+    assert_eq!(code, Some(3), "{table}");
+    let fails: Vec<&str> = table.lines().filter(|l| l.ends_with("FAIL")).collect();
+    assert_eq!(fails.len(), 3, "{table}");
+    assert!(fails
+        .iter()
+        .all(|l| l.contains("wall_s") && l.contains("+40.0%")));
 
-#[test]
-fn check_and_compare_are_mutually_exclusive() {
-    let history = scratch_history("exclusive");
-    let out = run_gate(&history, "100000", &["--check"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("mutually exclusive"));
-    assert!(!history.exists(), "usage errors must not write history");
-    let _ = std::fs::remove_file(&history);
-}
-
-#[test]
-fn bad_synthetic_value_is_a_usage_error() {
-    let history = scratch_history("bad_synth");
-    let out = run_gate(&history, "not-a-number", &[]);
-    assert_eq!(out.status.code(), Some(2));
-    let _ = std::fs::remove_file(&history);
+    for (parent, change) in [
+        (&equal, &incorrect),
+        (&incorrect, &equal),
+        (&equal, &failing),
+    ] {
+        assert_eq!(gate(&[parent, change]).0, Some(1), "{change:?}");
+    }
+    assert_eq!(gate(&[&failing, &equal]).0, Some(0));
+    assert_eq!(gate(&[&equal, &truncated]).0, Some(1));
+    assert_eq!(gate(&[&equal, &dir.join("missing")]).0, Some(1));
+    assert_eq!(gate(&[&equal]).0, Some(2));
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -200,42 +200,3 @@ fn profile_is_bit_inert_and_writes_schema_tagged_artifacts() {
     let _ = std::fs::remove_file(&prof_path);
     let _ = std::fs::remove_file(shard_prof_path.with_extension("folded"));
 }
-
-#[test]
-fn perf_baseline_profile_writes_valid_artifacts_under_synthetic() {
-    let history = tmp("gate_history.jsonl");
-    let prof_path = tmp("gate_host.json");
-    let out = Command::new(env!("CARGO_BIN_EXE_perf_baseline"))
-        .arg("--check")
-        .arg("--profile")
-        .arg(&prof_path)
-        .env("SAIS_BENCH_HISTORY", &history)
-        .env("SAIS_PERF_SYNTHETIC", "100000")
-        .output()
-        .expect("perf_baseline runs");
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let body = std::fs::read_to_string(&prof_path).expect("profile written");
-    let doc = JsonValue::parse(&body).expect("valid JSON");
-    assert_eq!(
-        doc.get("schema").and_then(JsonValue::as_str),
-        Some("sais-hostprof/v1")
-    );
-    // The fairness probe ran a pool, so the executor section is live
-    // even though synthetic mode skipped all measurement.
-    let exec = doc.get("executor").expect("executor section");
-    assert!(exec.get("pools").and_then(JsonValue::as_u64).unwrap() >= 1);
-    let workers = exec.get("workers").and_then(JsonValue::as_array).unwrap();
-    let tasks: u64 = workers
-        .iter()
-        .filter_map(|w| w.get("tasks").and_then(JsonValue::as_u64))
-        .sum();
-    assert_eq!(tasks, 64, "probe tasks all counted");
-    assert!(prof_path.with_extension("folded").exists());
-    let _ = std::fs::remove_file(prof_path.with_extension("folded"));
-    let _ = std::fs::remove_file(&prof_path);
-    let _ = std::fs::remove_file(&history);
-}

@@ -1150,12 +1150,9 @@ impl Cluster {
             process_migrations,
             request_latency: latency,
             stages: self.stages.clone(),
-            strip_slab_high_water: self.strips.high_water() as u64,
-            read_slab_high_water: self.reads.high_water() as u64,
-            events_dispatched: 0,  // filled in by `ScenarioConfig::run_full`
-            queue_high_water: 0,   // likewise
-            queue_cascades: 0,     // likewise
-            queue_peak_buckets: 0, // likewise
+            events_dispatched: 0, // filled in by `ScenarioConfig::run_full`
+            queue_high_water: 0,  // likewise
+            queue_cascades: 0,    // likewise
             telemetry: self.telemetry.series().clone(),
             window_rotations: self.telemetry.rotations(),
             detector_evals: self.telemetry.detector_evals(),

@@ -619,14 +619,12 @@ impl ScenarioConfig {
         let dispatched = engine.dispatched();
         let queue_high_water = engine.queue_high_water() as u64;
         let queue_cascades = engine.queue_cascades();
-        let queue_peak_buckets = engine.queue_peak_buckets() as u64;
         let mut cluster = engine.into_model();
         cluster.finish_telemetry();
         let mut metrics = cluster.collect_metrics(now);
         metrics.events_dispatched = dispatched;
         metrics.queue_high_water = queue_high_water;
         metrics.queue_cascades = queue_cascades;
-        metrics.queue_peak_buckets = queue_peak_buckets;
         (metrics, cluster)
     }
 
@@ -737,15 +735,6 @@ pub struct RunMetrics {
     /// cascaded back into the near-future ring (host-side accounting;
     /// filled in by `ScenarioConfig::run_full`).
     pub queue_cascades: u64,
-    /// Peak simultaneously-occupied timing-wheel buckets (host-side
-    /// accounting; filled in by `ScenarioConfig::run_full`).
-    pub queue_peak_buckets: u64,
-    /// Peak simultaneous occupancy of the strip slab — the true in-flight
-    /// strip high-water mark (host-side accounting; the slab's dense
-    /// storage is sized by it).
-    pub strip_slab_high_water: u64,
-    /// Peak simultaneous occupancy of the read slab.
-    pub read_slab_high_water: u64,
     /// Windowed time-series telemetry (disabled/empty unless
     /// [`ObsConfig::timeseries`] was on for the run).
     pub telemetry: crate::telemetry::TelemetrySeries,

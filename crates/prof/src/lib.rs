@@ -419,13 +419,6 @@ pub fn phase_of(zone: &str) -> usize {
     NUM_PHASES - 1
 }
 
-/// Current cumulative per-phase self-time totals (ns), in [`PHASES`]
-/// order — the quantity `perf_baseline` diffs around a single run to
-/// attribute a scenario's host time.
-pub fn phase_snapshot() -> [u64; NUM_PHASES] {
-    report().phase_totals()
-}
-
 impl ZoneReport {
     /// Per-phase self-time totals (ns) across every thread, in
     /// [`PHASES`] order. Additive: the buckets sum to the total self

@@ -141,12 +141,6 @@ impl<M: Model> Engine<M> {
         self.queue.cascades()
     }
 
-    /// Peak number of simultaneously occupied timing-wheel buckets (see
-    /// [`crate::TimingWheel::peak_occupied_buckets`]).
-    pub fn queue_peak_buckets(&self) -> usize {
-        self.queue.peak_occupied_buckets()
-    }
-
     /// Immutable access to the model.
     pub fn model(&self) -> &M {
         &self.model
