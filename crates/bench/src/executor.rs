@@ -1,84 +1,44 @@
-//! A work-stealing executor for sweep grids.
+//! The sweep executor: one task pool behind one shared cursor.
 //!
 //! A figure grid is `cells × seeds` independent deterministic
 //! simulations of wildly different durations (a 1 MB-transfer cell
-//! finishes long before a 64 KB one at the same byte volume). The old
-//! harness parallelised the two axes separately — an atomic claim loop
-//! over cells, then one thread per seed inside each cell — which had two
-//! problems: the per-cell join was a barrier (workers idled while the
-//! slowest seed of a cell finished), and thread count was
-//! `workers × seeds`, unbounded by the host.
-//!
-//! This executor flattens the grid into one task pool drained by exactly
-//! `min(available_parallelism, tasks)` workers. Tasks are pre-split into
-//! contiguous per-worker ranges; a worker drains its own range from the
-//! front and, when empty, steals from the *back* of the victim with the
-//! most work left. Stealing one task at a time is the right granularity
-//! here — a task is an entire simulation run, seconds of work, so the
-//! steal path is cold and balance beats amortisation.
+//! finishes long before a 64 KB one at the same byte volume). The grid is
+//! flattened into one task pool drained by exactly
+//! `min(available_parallelism, tasks)` workers. Each worker claims the
+//! next unclaimed task index from a single `AtomicUsize` until the range
+//! is exhausted, so no worker ever waits behind a slow task while others
+//! remain, and there is no per-cell barrier. Greedy claiming in index
+//! order balances as well as work stealing would: a task is an entire
+//! simulation run (milliseconds to seconds), so the one contended atomic
+//! costs nanoseconds per task.
 //!
 //! Execution order never affects results: every task writes only its own
 //! slot, and callers fold the slots in task-index order afterwards (see
 //! `harness::Sweep::run_cells_named`), so means over seeds are
 //! bit-identical to a sequential loop no matter which worker ran what.
 
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
-/// One worker's span of the task range: `[next, end)` still to run.
-/// A `Mutex` rather than lock-free split counters: tasks are whole
-/// simulation runs, so pool overhead is nanoseconds against seconds and
-/// clarity wins.
-struct Span {
-    next: usize,
-    end: usize,
-}
-
-impl Span {
-    fn len(&self) -> usize {
-        self.end - self.next
-    }
-}
-
-/// What one steal attempt found.
-enum StealOutcome {
-    /// Took a task from a victim's back.
-    Took(usize),
-    /// A victim looked non-empty during the scan but drained before the
-    /// take — the thief rescans.
-    Raced,
-    /// Every span is empty: the pool is permanently dry.
-    Dry,
-}
-
-/// Per-worker fairness counters, accumulated across every pool this
-/// process runs. Always on: the counters are a handful of adds per
-/// *task* (a task is an entire simulation run), so there is no off
-/// switch to get wrong — under `--profile` they feed the hostprof
-/// executor section.
+/// Per-worker counters, accumulated across every pool this process runs.
+/// Always on: the counters are a handful of adds per *task* (a task is an
+/// entire simulation run), so there is no off switch to get wrong — under
+/// `--profile` they feed the hostprof executor section.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerCounters {
-    /// Tasks this worker ran (own span + stolen).
+    /// Tasks this worker ran.
     pub tasks: u64,
-    /// Steal attempts that took a task from a victim.
-    pub steals_hit: u64,
-    /// Steal attempts that raced a draining victim and got nothing.
-    pub steals_missed: u64,
-    /// Pools in which this worker drained its own span and went stealing.
-    pub span_drains: u64,
     /// Nanoseconds spent running tasks.
     pub busy_ns: u64,
     /// Nanoseconds of pool wall time this worker was *not* running tasks
-    /// (steal scans, lock waits, and end-of-pool starvation).
+    /// (start-up, cursor claims, and end-of-pool starvation).
     pub idle_ns: u64,
 }
 
 impl WorkerCounters {
     fn merge(&mut self, o: &WorkerCounters) {
         self.tasks += o.tasks;
-        self.steals_hit += o.steals_hit;
-        self.steals_missed += o.steals_missed;
-        self.span_drains += o.span_drains;
         self.busy_ns += o.busy_ns;
         self.idle_ns += o.idle_ns;
     }
@@ -105,9 +65,9 @@ pub fn executor_stats() -> ExecutorStats {
 }
 
 /// Run `f(0) ..= f(total - 1)`, each exactly once, on `workers` threads
-/// with work stealing. Blocks until every task has finished. `workers`
-/// is clamped to `[1, total]`; with one worker (or one task) this
-/// degenerates to a sequential in-order loop.
+/// that claim task indices from one shared cursor. Blocks until every
+/// task has finished. `workers` is clamped to `[1, total]`; with one
+/// worker (or one task) this degenerates to a sequential in-order loop.
 pub fn run_indexed<F>(total: usize, workers: usize, f: F)
 where
     F: Fn(usize) + Sync,
@@ -116,107 +76,44 @@ where
         return;
     }
     let workers = workers.clamp(1, total);
-    // Contiguous pre-split: worker w owns [w*total/workers, (w+1)*total/workers).
-    let spans: Vec<Mutex<Span>> = (0..workers)
-        .map(|w| {
-            Mutex::new(Span {
-                next: w * total / workers,
-                end: (w + 1) * total / workers,
-            })
-        })
-        .collect();
-    let take_own = |w: usize| -> Option<usize> {
-        let mut s = spans[w].lock().expect("no poisoning");
-        (s.next < s.end).then(|| {
-            s.next += 1;
-            s.next - 1
-        })
-    };
-    // Steal one task from the back of the victim with the most left —
-    // the back, so the victim's own front-draining is disturbed last.
-    let steal = |thief: usize| -> StealOutcome {
-        let mut victim: Option<usize> = None;
-        let mut most = 0;
-        for (v, span) in spans.iter().enumerate() {
-            if v == thief {
-                continue;
-            }
-            let left = span.lock().expect("no poisoning").len();
-            if left > most {
-                most = left;
-                victim = Some(v);
-            }
-        }
-        // Re-lock to take: the victim may have drained in between, in
-        // which case this steal attempt simply misses and the caller
-        // rescans.
-        let Some(v) = victim else {
-            return StealOutcome::Dry;
-        };
-        let mut s = spans[v].lock().expect("no poisoning");
-        if s.next < s.end {
-            s.end -= 1;
-            StealOutcome::Took(s.end)
-        } else {
-            StealOutcome::Raced
-        }
-    };
-    let counters: Vec<Mutex<WorkerCounters>> = (0..workers)
-        .map(|_| Mutex::new(WorkerCounters::default()))
-        .collect();
+    let cursor = AtomicUsize::new(0);
     let pool_start = Instant::now();
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let (take_own, steal, f, counters) = (&take_own, &steal, &f, &counters);
-            scope.spawn(move || {
-                sais_prof::set_thread_label(&format!("worker{w}"));
-                let mut c = WorkerCounters::default();
-                // A worker's own span only ever shrinks (front by its own
-                // takes, back by thieves), so once drained it stays dry —
-                // probe it until then, steal afterwards.
-                let mut own_dry = false;
-                loop {
-                    if !own_dry {
-                        if let Some(t) = take_own(w) {
-                            let t0 = Instant::now();
-                            f(t);
-                            c.busy_ns += t0.elapsed().as_nanos() as u64;
-                            c.tasks += 1;
-                            continue;
+    let counters: Vec<WorkerCounters> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                let (cursor, f) = (&cursor, &f);
+                scope.spawn(move || {
+                    sais_prof::set_thread_label(&format!("worker{w}"));
+                    let mut c = WorkerCounters::default();
+                    loop {
+                        let t = cursor.fetch_add(1, Ordering::Relaxed);
+                        if t >= total {
+                            break;
                         }
-                        own_dry = true;
-                        c.span_drains += 1;
+                        let t0 = Instant::now();
+                        f(t);
+                        c.busy_ns += t0.elapsed().as_nanos() as u64;
+                        c.tasks += 1;
                     }
-                    match steal(w) {
-                        StealOutcome::Took(t) => {
-                            c.steals_hit += 1;
-                            let t0 = Instant::now();
-                            f(t);
-                            c.busy_ns += t0.elapsed().as_nanos() as u64;
-                            c.tasks += 1;
-                        }
-                        StealOutcome::Raced => c.steals_missed += 1,
-                        // Dry pool: tasks are never re-queued, so nothing
-                        // can appear for this worker (in-flight tasks on
-                        // other workers are already claimed) — exit.
-                        StealOutcome::Dry => break,
-                    }
-                }
-                *counters[w].lock().expect("no poisoning") = c;
-            });
-        }
+                    c
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
     });
     // Idle is charged against the pool's wall clock: everything a worker
     // did that was not running a task, including waiting out the pool's
-    // slowest straggler after going dry.
+    // slowest task after the cursor ran dry.
     let wall_ns = pool_start.elapsed().as_nanos() as u64;
     let mut stats = EXEC_STATS.lock().expect("no poisoning");
     stats.pools += 1;
     if stats.workers.len() < workers {
         stats.workers.resize(workers, WorkerCounters::default());
     }
-    for (w, c) in counters.iter().enumerate() {
-        let mut c = *c.lock().expect("no poisoning");
+    for (w, mut c) in counters.into_iter().enumerate() {
         c.idle_ns = wall_ns.saturating_sub(c.busy_ns);
         stats.workers[w].merge(&c);
     }
@@ -230,246 +127,9 @@ pub fn default_workers() -> usize {
         .unwrap_or(1)
 }
 
-// ---------------------------------------------------------------------
-// Multi-process shard fabric.
-//
-// `--shards N` extends the in-process pool to N single-binary worker
-// subprocesses: the parent re-spawns its own executable per sweep grid,
-// each worker deterministically rebuilds the same grid from the same
-// scale flags, runs the task subset `t % N == i` through its own
-// work-stealing pool, and prints one `shardtask` line per task — the
-// raw per-run statistics as bit-exact hex-encoded f64s. The parent
-// collects every worker's lines, re-assembles the full `(cell, seed)`
-// slot vector, and folds it in index order, so the Welford accumulation
-// (and therefore every figure CSV) is byte-identical to a
-// single-process run no matter how tasks were sharded.
-
-/// How this process participates in a sharded sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardRole {
-    /// No sharding: the whole grid runs in this process.
-    Single,
-    /// `--shards N` (N ≥ 2): spawn N workers per grid and merge.
-    Parent {
-        /// Worker subprocess count.
-        shards: usize,
-    },
-    /// `--shard-worker i` (hidden, spawned by a parent): run the subset
-    /// `t % shards == index` of grid number `grid`, print, exit.
-    Worker {
-        /// This worker's subset index in `0..shards`.
-        index: usize,
-        /// Total worker count (the parent's `--shards`).
-        shards: usize,
-        /// Which `run_grid` invocation (0-based, in program order) this
-        /// worker was spawned for; earlier grids are skipped.
-        grid: usize,
-    },
-}
-
-/// The process-wide shard configuration, installed once from the CLI.
-#[derive(Debug, Clone)]
-pub struct ShardPlan {
-    /// This process's role.
-    pub role: ShardRole,
-    /// Arguments a spawned worker needs to rebuild the identical grid
-    /// (the scale flag); the parent appends the hidden shard flags.
-    pub worker_args: Vec<String>,
-}
-
-static SHARD_PLAN: OnceLock<ShardPlan> = OnceLock::new();
-
-/// Install the shard plan parsed from the command line. First caller
-/// wins (the plan is derived from `std::env::args`, so every caller in
-/// one process computes the same plan).
-pub fn install_shard_plan(plan: ShardPlan) {
-    let _ = SHARD_PLAN.set(plan);
-}
-
-/// The installed shard plan; [`ShardRole::Single`] when none was
-/// installed (library use, tests).
-pub fn shard_plan() -> &'static ShardPlan {
-    static DEFAULT: ShardPlan = ShardPlan {
-        role: ShardRole::Single,
-        worker_args: Vec::new(),
-    };
-    SHARD_PLAN.get().unwrap_or(&DEFAULT)
-}
-
-/// Grid sequence number: every `run_grid` invocation claims the next
-/// number, in program order. Parent and worker execute the same `main`,
-/// so invocation `g` in the parent is invocation `g` in each worker —
-/// the number is what lets a worker of a multi-grid binary (e.g.
-/// `all_figures`) skip ahead to exactly the grid its parent is waiting
-/// on.
-pub fn next_grid_seq() -> usize {
-    static SEQ: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-    SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Encode one finished task for the worker→parent pipe: the task index
-/// plus each statistic as the 16-hex-digit big-endian bit pattern of its
-/// `f64` — exact round-trip, no decimal formatting loss.
-pub fn encode_task_line(t: usize, vals: &[f64]) -> String {
-    use std::fmt::Write;
-    let mut s = format!("shardtask {t}");
-    for v in vals {
-        write!(s, " {:016x}", v.to_bits()).expect("write to String");
-    }
-    s
-}
-
-/// Decode a [`encode_task_line`] line; `None` for any other line (the
-/// parent ignores unrelated stdout).
-pub fn decode_task_line(line: &str) -> Option<(usize, Vec<f64>)> {
-    let mut it = line.split(' ');
-    if it.next()? != "shardtask" {
-        return None;
-    }
-    let t: usize = it.next()?.parse().ok()?;
-    let vals: Option<Vec<f64>> = it
-        .map(|h| {
-            (h.len() == 16)
-                .then(|| u64::from_str_radix(h, 16).ok().map(f64::from_bits))
-                .flatten()
-        })
-        .collect();
-    Some((t, vals?))
-}
-
-/// Per-grid shard-fabric overhead, recorded by the parent process while
-/// it runs [`collect_sharded`] and finished by
-/// [`note_shard_fold_ns`] once the caller folds the merged task vector.
-#[derive(Debug, Clone, Default)]
-pub struct ShardGridStats {
-    /// Grid sequence number this entry describes.
-    pub grid: usize,
-    /// Worker process count.
-    pub shards: usize,
-    /// Nanoseconds spent spawning the worker processes.
-    pub spawn_ns: u64,
-    /// Per-worker wall time: spawn of the fleet to that worker's exit,
-    /// indexed by shard. Workers run concurrently, so these overlap.
-    pub worker_wall_ns: Vec<u64>,
-    /// Tasks each worker reported.
-    pub worker_tasks: Vec<u64>,
-    /// Nanoseconds the parent spent decoding and re-assembling the task
-    /// vector from worker stdout.
-    pub merge_ns: u64,
-    /// Nanoseconds the caller spent folding the merged vector into final
-    /// statistics (reported via [`note_shard_fold_ns`]; 0 until then).
-    pub fold_ns: u64,
-}
-
-static SHARD_STATS: Mutex<Vec<ShardGridStats>> = Mutex::new(Vec::new());
-
-/// Snapshot the per-grid shard-fabric statistics (empty unless this
-/// process acted as a shard parent).
-pub fn shard_stats() -> Vec<ShardGridStats> {
-    SHARD_STATS.lock().expect("no poisoning").clone()
-}
-
-/// Attribute `ns` of post-merge fold work to grid `grid_seq`'s fabric
-/// stats. No-op when the grid was never sharded in this process.
-pub fn note_shard_fold_ns(grid_seq: usize, ns: u64) {
-    let mut stats = SHARD_STATS.lock().expect("no poisoning");
-    if let Some(g) = stats.iter_mut().find(|g| g.grid == grid_seq) {
-        g.fold_ns += ns;
-    }
-}
-
-/// Parent side of the shard fabric: spawn `shards` copies of the current
-/// executable for grid `grid_seq`, wait for all of them, and re-assemble
-/// the full task vector from their `shardtask` lines. Every task must
-/// arrive exactly once with `width` statistics; anything else — a worker
-/// crash, a malformed line, a missing or duplicate task — is a hard
-/// panic, because a silently incomplete merge would produce
-/// plausible-but-wrong figures.
-///
-/// Lines that are not `shardtask` results are handed to `on_extra` (in
-/// worker order, each worker's stdout in line order) — the hook other
-/// wire protocols ride on, like the `shardwin` telemetry partials of
-/// `--timeseries`. Lines no decoder claims are simply ignored.
-pub fn collect_sharded(
-    total: usize,
-    shards: usize,
-    grid_seq: usize,
-    worker_args: &[String],
-    width: usize,
-    mut on_extra: impl FnMut(&str),
-) -> Vec<Vec<f64>> {
-    let exe = std::env::current_exe().expect("current_exe for shard fan-out");
-    let fleet_start = Instant::now();
-    let children: Vec<std::process::Child> = (0..shards)
-        .map(|i| {
-            let mut cmd = std::process::Command::new(&exe);
-            cmd.args(worker_args)
-                .arg("--shards")
-                .arg(shards.to_string())
-                .arg("--shard-worker")
-                .arg(i.to_string())
-                .arg("--shard-grid")
-                .arg(grid_seq.to_string())
-                .stdout(std::process::Stdio::piped());
-            cmd.spawn()
-                .unwrap_or_else(|e| panic!("spawn shard worker {i}: {e}"))
-        })
-        .collect();
-    let mut grid_stats = ShardGridStats {
-        grid: grid_seq,
-        shards,
-        spawn_ns: fleet_start.elapsed().as_nanos() as u64,
-        worker_wall_ns: Vec::with_capacity(shards),
-        worker_tasks: vec![0; shards],
-        merge_ns: 0,
-        fold_ns: 0,
-    };
-    let mut out: Vec<Option<Vec<f64>>> = vec![None; total];
-    for (i, child) in children.into_iter().enumerate() {
-        let o = child
-            .wait_with_output()
-            .unwrap_or_else(|e| panic!("wait for shard worker {i}: {e}"));
-        // Workers run concurrently but are reaped in order, so each wall
-        // figure is fleet start → that worker's reap: an upper bound that
-        // is exact for the slowest-so-far worker.
-        grid_stats
-            .worker_wall_ns
-            .push(fleet_start.elapsed().as_nanos() as u64);
-        assert!(
-            o.status.success(),
-            "shard worker {i} failed with {:?}",
-            o.status.code()
-        );
-        let merge_start = Instant::now();
-        for line in String::from_utf8_lossy(&o.stdout).lines() {
-            let Some((t, vals)) = decode_task_line(line) else {
-                on_extra(line);
-                continue;
-            };
-            assert!(t < total, "shard worker {i} reported unknown task {t}");
-            assert_eq!(
-                t % shards,
-                i,
-                "shard worker {i} reported task {t} outside its subset"
-            );
-            assert_eq!(vals.len(), width, "malformed shard line: {line}");
-            assert!(out[t].is_none(), "duplicate shard task {t}");
-            out[t] = Some(vals);
-            grid_stats.worker_tasks[i] += 1;
-        }
-        grid_stats.merge_ns += merge_start.elapsed().as_nanos() as u64;
-    }
-    SHARD_STATS.lock().expect("no poisoning").push(grid_stats);
-    out.into_iter()
-        .enumerate()
-        .map(|(t, o)| o.unwrap_or_else(|| panic!("shard task {t} never arrived")))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn run_and_count(total: usize, workers: usize) {
         let hits: Vec<AtomicUsize> = (0..total).map(|_| AtomicUsize::new(0)).collect();
@@ -500,55 +160,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_lines_round_trip_bit_exactly() {
-        // Values chosen to break decimal formatting: subnormals, -0.0,
-        // NaN payloads, and a long irrational all survive the hex pipe.
-        let vals = [
-            0.1 + 0.2,
-            -0.0,
-            f64::MIN_POSITIVE / 2.0,
-            f64::from_bits(0x7ff8_0000_0000_1234),
-            std::f64::consts::PI,
-        ];
-        let line = encode_task_line(42, &vals);
-        let (t, back) = decode_task_line(&line).expect("round trip");
-        assert_eq!(t, 42);
-        assert_eq!(back.len(), vals.len());
-        for (a, b) in vals.iter().zip(&back) {
-            assert_eq!(a.to_bits(), b.to_bits(), "bit-exact transfer");
-        }
-    }
-
-    #[test]
-    fn decode_rejects_noise_and_malformed_lines() {
-        assert_eq!(decode_task_line("transfer,servers,SAIs"), None);
-        assert_eq!(decode_task_line("shardtask"), None);
-        assert_eq!(decode_task_line("shardtask x 0000000000000000"), None);
-        assert_eq!(decode_task_line("shardtask 3 123"), None, "short hex");
-        assert_eq!(
-            decode_task_line("shardtask 3 00000000000000zz"),
-            None,
-            "non-hex digits"
-        );
-    }
-
-    #[test]
-    fn default_shard_plan_is_single() {
-        // Library/test use never installs a plan; the default must be a
-        // plain in-process run.
-        assert_eq!(shard_plan().role, ShardRole::Single);
-        assert!(shard_plan().worker_args.is_empty());
-    }
-
-    #[test]
-    fn grid_seq_is_monotone() {
-        let a = next_grid_seq();
-        let b = next_grid_seq();
-        assert!(b > a);
-    }
-
-    #[test]
-    fn fairness_counters_accumulate() {
+    fn worker_counters_accumulate() {
         // EXEC_STATS is process-global and other tests run pools
         // concurrently, so assert on deltas, not absolutes.
         let sum_tasks = || {
@@ -560,33 +172,18 @@ mod tests {
         let (pools1, tasks1) = sum_tasks();
         assert!(pools1 > pools0, "pool run must be counted");
         assert!(tasks1 >= tasks0 + 23, "all 23 tasks counted across workers");
-        let s = executor_stats();
-        assert!(s.workers.len() >= 3, "three workers leave three slots");
-        for w in &s.workers {
-            // Hit + missed steals only happen after a span drain; a worker
-            // that stole must have drained its own span at least once.
-            if w.steals_hit + w.steals_missed > 0 {
-                assert!(w.span_drains > 0);
-            }
-        }
-    }
-
-    #[test]
-    fn shard_fold_note_ignores_unknown_grid() {
-        // No parent ran in-process: the note must be a no-op, not a panic.
-        note_shard_fold_ns(usize::MAX, 1);
         assert!(
-            shard_stats().iter().all(|g| g.grid != usize::MAX),
-            "unknown grid not materialised"
+            executor_stats().workers.len() >= 3,
+            "three workers leave three slots"
         );
     }
 
     #[test]
-    fn imbalanced_tasks_get_stolen() {
-        // Worker 0's pre-split range holds one slow task followed by many
-        // fast ones; with two workers the fast tasks must migrate to the
-        // idle worker rather than queue behind the slow one. Detect by
-        // wall time: stolen execution overlaps the sleep.
+    fn pool_does_not_wait_behind_a_slow_task() {
+        // Task 0 is slow and the other 31 are fast; with two workers the
+        // fast tasks must all go to the worker not stuck on task 0 rather
+        // than queue behind it. Detect by wall time: their execution
+        // overlaps the sleep.
         let t0 = std::time::Instant::now();
         run_indexed(32, 2, |i| {
             if i == 0 {

@@ -61,20 +61,9 @@ pub struct BenchArgs {
     /// go to stderr. Binaries without a sweep grid export the demo
     /// scenario's series instead.
     pub timeseries: Option<PathBuf>,
-    /// `--shards <n>`: fan each sweep grid out over `n` spawn-self worker
-    /// subprocesses (see [`crate::executor::ShardRole`]); `1` (the
-    /// default) keeps everything in-process. Results are byte-identical
-    /// either way.
-    pub shards: usize,
-    /// Hidden `--shard-worker <i>`: this process is worker `i` of a
-    /// sharded sweep, spawned by a parent — never passed by hand.
-    pub shard_worker: Option<usize>,
-    /// Hidden `--shard-grid <g>`: the grid sequence number the worker
-    /// was spawned for; travels with `--shard-worker`.
-    pub shard_grid: Option<usize>,
     /// `--profile <path>`: enable the host-side zone profiler
     /// ([`sais_prof`]) for the whole run and write the
-    /// `sais-hostprof/v1` report there (plus collapsed stacks next to it
+    /// `sais-hostprof/v2` report there (plus collapsed stacks next to it
     /// and a top-N self-time table on stderr). Bit-inert: the profiler
     /// only reads host clocks, so every CSV and JSONL is byte-identical
     /// with or without it — CI pins this.
@@ -82,15 +71,14 @@ pub struct BenchArgs {
 }
 
 const BENCH_USAGE: &str =
-    "usage: <figure-bin> [--quick | --full] [--shards <n>] [--trace <path>] [--metrics <path>] [--analyze <dir>] [--timeseries <path>] [--profile <path>]\n\
+    "usage: <figure-bin> [--quick | --full] [--trace <path>] [--metrics <path>] [--analyze <dir>] [--timeseries <path>] [--profile <path>]\n\
   --quick           64 MB files, 1 seed (fast smoke run)\n\
   --full            1 GB files, 3 seeds (paper scale)\n\
-  --shards <n>      fan sweep grids out over n worker subprocesses (default 1)\n\
   --trace <path>    write a Perfetto trace of the demo scenario\n\
   --metrics <path>  write a metric snapshot (.csv => CSV, else JSON)\n\
   --analyze <dir>   write trace-analysis reports (blame/diff/timeline/forensics)\n\
   --timeseries <path>  write the windowed telemetry series as sais-timeseries/v1 JSONL\n\
-  --profile <path>  write the host-side zone profile as sais-hostprof/v1 JSON (+ .folded stacks)";
+  --profile <path>  write the host-side zone profile as sais-hostprof/v2 JSON (+ .folded stacks)";
 
 impl BenchArgs {
     /// Parse `std::env::args()`, exiting with code 2 and a usage message on
@@ -98,13 +86,9 @@ impl BenchArgs {
     pub fn parse() -> BenchArgs {
         match Self::try_parse(std::env::args().skip(1)) {
             Ok(args) => {
-                args.install_shard_plan();
                 crate::timeseries::set_collection_active(args.timeseries.is_some());
                 // Turn the zone profiler on before any simulation runs so
-                // the whole figure is covered. Shard workers never see
-                // `--profile` (it is not forwarded in `worker_args`), so
-                // they run unprofiled — the parent's report covers its own
-                // process: fabric spawn/merge/fold plus any local grids.
+                // the whole figure is covered.
                 sais_prof::set_enabled(args.profile.is_some());
                 args
             }
@@ -116,39 +100,6 @@ impl BenchArgs {
         }
     }
 
-    /// Derive this process's [`crate::executor::ShardPlan`] from the
-    /// parsed flags and install it for the sweep runner. Workers get
-    /// only the scale flag back — the grid itself is rebuilt
-    /// deterministically from the binary's own code, and side-effect
-    /// flags (`--trace` etc.) must run once, in the parent.
-    fn install_shard_plan(&self) {
-        use crate::executor::{install_shard_plan, ShardPlan, ShardRole};
-        let role = match self.shard_worker {
-            Some(index) => ShardRole::Worker {
-                index,
-                shards: self.shards,
-                grid: self.shard_grid.expect("validated with --shard-worker"),
-            },
-            None if self.shards > 1 => ShardRole::Parent {
-                shards: self.shards,
-            },
-            None => ShardRole::Single,
-        };
-        let mut worker_args = match self.scale {
-            Scale::Quick => vec!["--quick".to_string()],
-            Scale::Full => vec!["--full".to_string()],
-            Scale::Default => Vec::new(),
-        };
-        // Workers must sample the same telemetry windows the parent
-        // expects to merge; they ship the windows over stdout and never
-        // touch the path (only the parent writes files).
-        if let Some(path) = &self.timeseries {
-            worker_args.push("--timeseries".to_string());
-            worker_args.push(path.display().to_string());
-        }
-        install_shard_plan(ShardPlan { role, worker_args });
-    }
-
     /// Strict parse of an argument list (testable core of [`BenchArgs::parse`]).
     pub fn try_parse(args: impl IntoIterator<Item = String>) -> Result<BenchArgs, String> {
         let mut out = BenchArgs {
@@ -157,45 +108,13 @@ impl BenchArgs {
             metrics: None,
             analyze: None,
             timeseries: None,
-            shards: 1,
-            shard_worker: None,
-            shard_grid: None,
             profile: None,
-        };
-        let positive = |flag: &str, v: Option<String>| -> Result<usize, String> {
-            let v = v.ok_or_else(|| format!("`{flag}` requires a count argument"))?;
-            match v.parse::<usize>() {
-                Ok(0) => Err(format!("`{flag}` must be at least 1, got `0`")),
-                Ok(n) => Ok(n),
-                Err(_) => Err(format!("`{flag}` expects a positive integer, got `{v}`")),
-            }
         };
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
             match arg.as_str() {
                 "--quick" => out.scale = Scale::Quick,
                 "--full" => out.scale = Scale::Full,
-                "--shards" => out.shards = positive("--shards", it.next())?,
-                "--shard-worker" => {
-                    // Hidden: spawned workers only. Indices are 0-based,
-                    // so parse directly rather than through `positive`.
-                    let v = it
-                        .next()
-                        .ok_or("`--shard-worker` requires an index argument")?;
-                    let i = v
-                        .parse::<usize>()
-                        .map_err(|_| format!("`--shard-worker` expects an index, got `{v}`"))?;
-                    out.shard_worker = Some(i);
-                }
-                "--shard-grid" => {
-                    let v = it
-                        .next()
-                        .ok_or("`--shard-grid` requires a sequence argument")?;
-                    let g = v
-                        .parse::<usize>()
-                        .map_err(|_| format!("`--shard-grid` expects a number, got `{v}`"))?;
-                    out.shard_grid = Some(g);
-                }
                 "--trace" => {
                     let path = it.next().ok_or("`--trace` requires a path argument")?;
                     out.trace = Some(PathBuf::from(path));
@@ -219,25 +138,6 @@ impl BenchArgs {
                     out.profile = Some(PathBuf::from(path));
                 }
                 other => return Err(format!("unknown argument `{other}`")),
-            }
-        }
-        // The hidden worker flags travel together, and only underneath a
-        // parent's `--shards N`.
-        match (out.shard_worker, out.shard_grid) {
-            (Some(i), Some(_)) => {
-                if out.shards < 2 {
-                    return Err("`--shard-worker` requires `--shards <n>` with n ≥ 2".into());
-                }
-                if i >= out.shards {
-                    return Err(format!(
-                        "`--shard-worker` index {i} out of range for {} shards",
-                        out.shards
-                    ));
-                }
-            }
-            (None, None) => {}
-            _ => {
-                return Err("`--shard-worker` and `--shard-grid` must be passed together".into());
             }
         }
         Ok(out)
@@ -347,15 +247,11 @@ pub struct CellStats {
     pub migrations: Welford,
 }
 
-/// The statistics a sweep folds per run, in fold order. This is the
-/// unit of the shard-fabric wire format: a worker sends each run as
-/// exactly these five `f64`s (hex-encoded, bit-exact), so a sharded
-/// merge feeds the Welford accumulators the same values in the same
-/// order as an in-process run.
-pub const SAMPLE_STATS: usize = 5;
+/// The statistics a sweep folds per run, in fold order.
+type Sample = [f64; 5];
 
 /// Extract the folded statistics from one run.
-fn sample_of(m: &RunMetrics) -> [f64; SAMPLE_STATS] {
+fn sample_of(m: &RunMetrics) -> Sample {
     [
         m.bandwidth_bytes_per_sec(),
         m.l2_miss_rate,
@@ -366,7 +262,7 @@ fn sample_of(m: &RunMetrics) -> [f64; SAMPLE_STATS] {
 }
 
 impl CellStats {
-    fn push_sample(&mut self, s: &[f64]) {
+    fn push_sample(&mut self, s: &Sample) {
         self.bw.push(s[0]);
         self.miss.push(s[1]);
         self.util.push(s[2]);
@@ -435,10 +331,10 @@ impl Sweep {
     }
 
     /// The flattened sweep executor: the whole `cells × seeds` grid is one
-    /// work-stealing task pool (see [`crate::executor`]) drained by
+    /// task pool (see [`crate::executor`]) drained by
     /// `available_parallelism` workers. One task = one seed of one cell
     /// under both policies, so there is no per-cell barrier — a worker
-    /// that finishes the last seed of a slow cell immediately picks up
+    /// that finishes the last seed of a slow cell immediately claims
     /// whatever cell's seed is still pending — and thread count is bounded
     /// by the host, not by `cells × seeds`.
     ///
@@ -447,22 +343,14 @@ impl Sweep {
     /// `(cell, seed)` index order — float summation order, and therefore
     /// every figure CSV, is bit-identical to a sequential double loop
     /// regardless of scheduling.
-    /// Shard-fabric extension: under `--shards N` this process is a
-    /// *parent* — it claims the next grid sequence number, spawns N
-    /// copies of its own binary (each sees the same `cells` because the
-    /// grid is a pure function of the binary and the scale flag), and
-    /// merges their bit-exact per-task samples back into the same
-    /// index-ordered fold. A spawned *worker* runs only the subset
-    /// `t % N == index` through its own in-process pool, prints one
-    /// `shardtask` line per task, and exits here — its stdout carries
-    /// nothing else (see [`emit`]).
     fn run_grid(
         &self,
         label: Option<&str>,
         cfgs: Vec<ScenarioConfig>,
     ) -> Vec<(CellStats, CellStats)> {
-        use crate::executor::{self, ShardRole};
+        use crate::executor;
         use sais_core::telemetry::TelemetrySeries;
+        use std::sync::atomic::{AtomicUsize, Ordering};
         let seeds = self.scale.seeds() as usize;
         let telemetry = crate::timeseries::collection_active();
         let cells: Vec<ScenarioConfig> = cfgs
@@ -481,176 +369,53 @@ impl Sweep {
             })
             .collect();
         let total = cells.len() * seeds;
-        // One task = one seed of one cell under both policies; its
-        // sample is the concatenated (baseline, candidate) statistics,
-        // plus — under `--timeseries` — the two runs' telemetry series.
-        type TaskResult = ([f64; 2 * SAMPLE_STATS], Option<[TelemetrySeries; 2]>);
-        let run_task = |t: usize| -> TaskResult {
+        // One task = one seed of one cell under both policies: the
+        // (baseline, candidate) samples, plus — under `--timeseries` —
+        // the two runs' telemetry series.
+        type TaskResult = ([Sample; 2], Option<[TelemetrySeries; 2]>);
+        let meter = label.map(|l| ProgressMeter::new(l, cells.len() as u64));
+        let mut runs: Vec<Option<TaskResult>> = vec![None; total];
+        let slots = std::sync::Mutex::new(&mut runs);
+        // Per-cell completion tallies so the meter still reports whole
+        // cells even though tasks finish seed by seed in any order.
+        let seeds_done: Vec<AtomicUsize> = (0..cells.len()).map(|_| AtomicUsize::new(0)).collect();
+        executor::run_indexed(total, executor::default_workers(), |t| {
             let (ci, si) = (t / seeds, t % seeds);
             let mut c = cells[ci].clone();
             c.seed = c.seed.wrapping_add((si as u64).wrapping_mul(0x9E37_79B9));
             let b = c.clone().with_policy(self.baseline).run();
             let s = c.with_policy(self.candidate).run();
-            let (bs, ss) = (sample_of(&b), sample_of(&s));
-            let mut sample = [0.0; 2 * SAMPLE_STATS];
-            sample[..SAMPLE_STATS].copy_from_slice(&bs);
-            sample[SAMPLE_STATS..].copy_from_slice(&ss);
-            (sample, telemetry.then_some([b.telemetry, s.telemetry]))
-        };
-        // Fold one task's series pair into the global collector; called
-        // in fixed (task, policy) order below so the aggregation is the
-        // same walk regardless of scheduling (the fold itself is exact
-        // and commutative, so this is belt and braces).
-        let fold_task_series = |series: &[TelemetrySeries; 2]| {
-            let (bl, cl) = self.labels();
-            let mut coll = crate::timeseries::collector().lock().expect("no poisoning");
-            coll.fold_series(bl, &series[0]);
-            coll.fold_series(cl, &series[1]);
-        };
-        let plan = executor::shard_plan();
-        let grid_seq = executor::next_grid_seq();
-        let samples: Vec<[f64; 2 * SAMPLE_STATS]> = match plan.role {
-            ShardRole::Worker {
-                index,
-                shards,
-                grid,
-            } => {
-                if grid_seq != grid {
-                    // A multi-grid binary's earlier (or later) grid: the
-                    // parent already has — or will spawn fresh workers
-                    // for — this one. Skip the compute; the placeholder
-                    // stats never reach any output (workers emit nothing).
-                    return vec![(CellStats::default(), CellStats::default()); cells.len()];
+            let result = (
+                [sample_of(&b), sample_of(&s)],
+                telemetry.then_some([b.telemetry, s.telemetry]),
+            );
+            slots.lock().expect("no poisoning")[t] = Some(result);
+            if seeds_done[ci].fetch_add(1, Ordering::Relaxed) + 1 == seeds {
+                if let Some(m) = &meter {
+                    m.complete_one_and_report();
                 }
-                let mine: Vec<usize> = (index..total).step_by(shards).collect();
-                let mut done: Vec<Option<TaskResult>> = vec![None; mine.len()];
-                let slots = std::sync::Mutex::new(&mut done);
-                executor::run_indexed(mine.len(), executor::default_workers(), |k| {
-                    let result = run_task(mine[k]);
-                    slots.lock().expect("no poisoning")[k] = Some(result);
-                });
-                use std::io::Write;
-                let stdout = std::io::stdout();
-                let mut w = stdout.lock();
-                for (k, t) in mine.iter().enumerate() {
-                    let (sample, series) = done[k].as_ref().expect("every owned task ran");
-                    writeln!(w, "{}", executor::encode_task_line(*t, sample))
-                        .expect("write shard results");
-                    // Ship the raw-bits window partials right after the
-                    // task's samples: one `shardwin` line per retained
-                    // window, policy 0 = baseline, 1 = candidate.
-                    for (p, s) in series.iter().flatten().enumerate() {
-                        for (epoch, cell) in s.windows() {
-                            writeln!(
-                                w,
-                                "{}",
-                                crate::timeseries::encode_window_line(
-                                    *t,
-                                    p,
-                                    s.window_ns(),
-                                    epoch,
-                                    cell
-                                )
-                            )
-                            .expect("write shard telemetry");
-                        }
-                    }
-                }
-                w.flush().expect("flush shard results");
-                std::process::exit(0);
             }
-            ShardRole::Parent { shards } => {
-                // Decoded `shardwin` partials, collected while draining
-                // worker stdout and folded *after* sorting into fixed
-                // (task, policy, epoch) order — the same walk the
-                // single-process fold below does.
-                let mut windows: Vec<(
-                    usize,
-                    usize,
-                    u64,
-                    u64,
-                    sais_core::telemetry::TelemetryCell,
-                )> = Vec::new();
-                let samples: Vec<[f64; 2 * SAMPLE_STATS]> = executor::collect_sharded(
-                    total,
-                    shards,
-                    grid_seq,
-                    &plan.worker_args,
-                    2 * SAMPLE_STATS,
-                    |line| {
-                        if let Some(win) = crate::timeseries::decode_window_line(line) {
-                            windows.push(win);
-                        }
-                    },
-                )
-                .into_iter()
-                .map(|v| {
-                    let mut sample = [0.0; 2 * SAMPLE_STATS];
-                    sample.copy_from_slice(&v);
-                    sample
-                })
-                .collect();
-                if telemetry {
-                    windows.sort_by_key(|&(t, p, _, epoch, _)| (t, p, epoch));
-                    let (bl, cl) = self.labels();
-                    let mut coll = crate::timeseries::collector().lock().expect("no poisoning");
-                    for (_, p, width, epoch, cell) in &windows {
-                        coll.fold_cell(if *p == 0 { bl } else { cl }, *width, *epoch, cell);
-                    }
-                }
-                samples
-            }
-            ShardRole::Single => {
-                let meter = label.map(|l| ProgressMeter::new(l, cells.len() as u64));
-                let mut runs: Vec<Option<TaskResult>> = vec![None; total];
-                let slots = std::sync::Mutex::new(&mut runs);
-                // Per-cell completion tallies so the meter still reports
-                // whole cells even though tasks finish seed by seed in
-                // any order.
-                let seeds_done: Vec<std::sync::atomic::AtomicUsize> = (0..cells.len())
-                    .map(|_| std::sync::atomic::AtomicUsize::new(0))
-                    .collect();
-                executor::run_indexed(total, executor::default_workers(), |t| {
-                    let result = run_task(t);
-                    slots.lock().expect("no poisoning")[t] = Some(result);
-                    let ci = t / seeds;
-                    let done =
-                        seeds_done[ci].fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
-                    if done == seeds {
-                        if let Some(m) = &meter {
-                            m.complete_one_and_report();
-                        }
-                    }
-                });
-                runs.into_iter()
-                    .map(|r| {
-                        let (sample, series) = r.expect("every seed ran");
-                        if let Some(series) = &series {
-                            fold_task_series(series);
-                        }
-                        sample
-                    })
-                    .collect()
-            }
-        };
+        });
         // The deterministic fold: fixed (cell, seed) index order, so the
-        // float summation — and every figure CSV — is bit-identical no
-        // matter which thread, worker process, or steal path ran what.
-        let fold_start = std::time::Instant::now();
+        // float summation, the telemetry walk and every figure CSV are
+        // bit-identical no matter which worker ran what.
+        let (bl, cl) = self.labels();
+        let mut runs = runs.into_iter().map(|r| r.expect("every seed ran"));
         let mut out = Vec::with_capacity(cells.len());
-        for ci in 0..cells.len() {
+        for _ in 0..cells.len() {
             let mut base = CellStats::default();
             let mut cand = CellStats::default();
-            for si in 0..seeds {
-                let sample = &samples[ci * seeds + si];
-                base.push_sample(&sample[..SAMPLE_STATS]);
-                cand.push_sample(&sample[SAMPLE_STATS..]);
+            for (samples, series) in runs.by_ref().take(seeds) {
+                base.push_sample(&samples[0]);
+                cand.push_sample(&samples[1]);
+                if let Some(series) = &series {
+                    let mut coll = crate::timeseries::collector().lock().expect("no poisoning");
+                    coll.fold_series(bl, &series[0]);
+                    coll.fold_series(cl, &series[1]);
+                }
             }
             out.push((base, cand));
         }
-        // Attribute the parent-side fold to this grid's fabric stats
-        // (no-op when the grid ran in-process).
-        executor::note_shard_fold_ns(grid_seq, fold_start.elapsed().as_nanos() as u64);
         out
     }
 
@@ -680,15 +445,6 @@ pub fn emit_streams(table: &Table) -> (String, String) {
 /// rendered table and the `[csv] path` echo go to stderr with the rest of
 /// the progress reporting.
 pub fn emit(name: &str, table: &Table) {
-    // A shard worker's stdout is a results pipe for its parent, and any
-    // table it could print would be a placeholder from a skipped grid —
-    // workers emit nothing, on either stream or disk.
-    if matches!(
-        crate::executor::shard_plan().role,
-        crate::executor::ShardRole::Worker { .. }
-    ) {
-        return;
-    }
     sais_prof::zone!("export.csv");
     let (csv, human) = emit_streams(table);
     eprintln!("{human}");
@@ -776,43 +532,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_args_shards_parse_strictly() {
-        assert_eq!(parse(&[]).unwrap().shards, 1);
-        assert_eq!(parse(&[]).unwrap().shard_worker, None);
-        assert_eq!(parse(&["--shards", "4"]).unwrap().shards, 4);
-        let err = parse(&["--shards", "0"]).unwrap_err();
-        assert!(err.contains("at least 1"), "{err}");
-        let err = parse(&["--shards", "two"]).unwrap_err();
-        assert!(err.contains("positive integer"), "{err}");
-        assert!(parse(&["--shards"]).is_err(), "--shards needs a count");
-        assert!(parse(&["--shards", "-2"]).is_err(), "negative rejected");
-    }
-
-    #[test]
-    fn bench_args_hidden_worker_flags_travel_together() {
-        let a = parse(&["--shards", "2", "--shard-worker", "1", "--shard-grid", "3"]).unwrap();
-        assert_eq!(a.shards, 2);
-        assert_eq!(a.shard_worker, Some(1));
-        assert_eq!(a.shard_grid, Some(3));
-        assert!(
-            parse(&["--shard-worker", "0", "--shard-grid", "0"]).is_err(),
-            "worker flags without --shards"
-        );
-        assert!(
-            parse(&["--shards", "2", "--shard-worker", "0"]).is_err(),
-            "worker without grid"
-        );
-        assert!(
-            parse(&["--shards", "2", "--shard-grid", "0"]).is_err(),
-            "grid without worker"
-        );
-        assert!(
-            parse(&["--shards", "2", "--shard-worker", "2", "--shard-grid", "0"]).is_err(),
-            "worker index out of range"
-        );
-    }
-
-    #[test]
     fn bench_args_rejects_unknown_and_malformed() {
         let err = parse(&["--fulll"]).unwrap_err();
         assert!(err.contains("--fulll"), "{err}");
@@ -820,6 +539,15 @@ mod tests {
         let err = parse(&["--trace"]).unwrap_err();
         assert!(err.contains("path"), "{err}");
         assert!(parse(&["--metrics"]).is_err());
+        // The multi-process sweep flags are gone, not silently ignored.
+        for removed in [
+            &["--shards", "2"][..],
+            &["--shard-worker", "0", "--shard-grid", "0"],
+            &["--shard-grid", "0"],
+        ] {
+            let err = parse(removed).unwrap_err();
+            assert!(err.contains(removed[0]), "{err}");
+        }
     }
 
     #[test]

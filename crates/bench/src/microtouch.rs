@@ -263,17 +263,24 @@ fn chunk_edge_local(reps: u64) -> RegimeResult {
     chunked_strips("chunk_edge_local", reps, |_| 0, 0)
 }
 
-/// Run every regime at the default rep counts (a few ms each).
+/// A regime: run it for a number of reps.
+type Regime = fn(u64) -> RegimeResult;
+
+/// Every regime with its default rep count (a few ms each), in record
+/// order.
+const REGIMES: [(Regime, u64); 7] = [
+    (hit_replay, 20_000),
+    (c2c_pingpong, 5_000),
+    (cold_stream, 5_000),
+    (poisoned_stream, 5_000),
+    (mixed_fallback, 2_000),
+    (chunk_edge, 2_000),
+    (chunk_edge_local, 2_000),
+];
+
+/// Run every regime at the default rep counts.
 pub fn run_regimes() -> Vec<RegimeResult> {
-    vec![
-        hit_replay(20_000),
-        c2c_pingpong(5_000),
-        cold_stream(5_000),
-        poisoned_stream(5_000),
-        mixed_fallback(2_000),
-        chunk_edge(2_000),
-        chunk_edge_local(2_000),
-    ]
+    REGIMES.iter().map(|&(run, reps)| run(reps)).collect()
 }
 
 /// Render `regimes` as `BENCH_engine.json`: one line per regime, and
@@ -323,6 +330,10 @@ mod tests {
             })
             .collect();
         assert_eq!(to_json(&regimes), text);
+        // The record names every regime `run_regimes` produces, in order.
+        let committed: Vec<&str> = regimes.iter().map(|r| r.regime).collect();
+        let produced: Vec<&str> = run_regimes_quick().iter().map(|r| r.regime).collect();
+        assert_eq!(committed, produced, "refresh BENCH_engine.json");
     }
 
     #[test]
@@ -403,14 +414,6 @@ mod tests {
     }
 
     fn run_regimes_quick() -> Vec<RegimeResult> {
-        vec![
-            hit_replay(2),
-            c2c_pingpong(2),
-            cold_stream(2),
-            poisoned_stream(2),
-            mixed_fallback(2),
-            chunk_edge(2),
-            chunk_edge_local(2),
-        ]
+        REGIMES.iter().map(|&(run, _)| run(2)).collect()
     }
 }

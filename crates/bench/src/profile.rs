@@ -1,11 +1,11 @@
 //! Host-profile export: the `--profile <path>` artifact set.
 //!
 //! Serializes one process's [`sais_prof`] zone report plus the always-on
-//! executor and shard-fabric counters into three views of the same data:
+//! executor counters into three views of the same data:
 //!
-//! 1. **`sais-hostprof/v1` JSON** at `path` — the full zone trees per
-//!    thread, the additive phase breakdown, per-worker executor fairness
-//!    counters, and per-grid shard-fabric overhead. Machine-readable,
+//! 1. **`sais-hostprof/v2` JSON** at `path` — the full zone trees per
+//!    thread, the additive phase breakdown, and per-worker executor
+//!    counters (tasks, busy and idle time). Machine-readable,
 //!    schema-tagged like every other artifact this repo emits.
 //! 2. **Collapsed stacks** at `path` with the extension replaced by
 //!    `.folded` — one `thread;zone;child self_ns` line per tree node,
@@ -15,45 +15,27 @@
 //!
 //! The profiler reads host clocks only, so all of this is bit-inert for
 //! simulation outputs: figure CSVs and telemetry JSONL are byte-identical
-//! with `--profile` on or off (CI pins this at shard counts 1 and 2).
+//! with `--profile` on or off (CI pins this).
 
-use crate::executor::{ExecutorStats, ShardGridStats};
+use crate::executor::ExecutorStats;
+use sais_obs::json::write_json_string;
 use sais_prof::{ZoneNode, ZoneReport, NUM_PHASES, PHASES};
 use std::fmt::Write as _;
 use std::path::Path;
 
 /// Schema tag of the JSON artifact.
-pub const SCHEMA: &str = "sais-hostprof/v1";
+pub const SCHEMA: &str = "sais-hostprof/v2";
 
 /// Rows in the stderr self-time table.
 pub const TOP_N: usize = 12;
 
-/// Minimal JSON string escape (labels are the only caller-controlled
-/// strings; zone names are source literals).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn node_json(n: &ZoneNode, buf: &mut String) {
+    buf.push_str("{\"name\":");
+    write_json_string(&n.name, buf);
     let _ = write!(
         buf,
-        "{{\"name\":\"{}\",\"count\":{},\"total_ns\":{},\"self_ns\":{},\"max_ns\":{},\"children\":[",
-        esc(&n.name),
-        n.count,
-        n.total_ns,
-        n.self_ns,
-        n.max_ns
+        ",\"count\":{},\"total_ns\":{},\"self_ns\":{},\"max_ns\":{},\"children\":[",
+        n.count, n.total_ns, n.self_ns, n.max_ns
     );
     for (i, c) in n.children.iter().enumerate() {
         if i > 0 {
@@ -83,8 +65,8 @@ pub fn phase_breakdown(
     out.try_into().expect("NUM_PHASES + 1 entries")
 }
 
-/// Render the full `sais-hostprof/v1` document.
-pub fn render_json(report: &ZoneReport, exec: &ExecutorStats, fabric: &[ShardGridStats]) -> String {
+/// Render the full `sais-hostprof/v2` document.
+pub fn render_json(report: &ZoneReport, exec: &ExecutorStats) -> String {
     let mut s = String::with_capacity(4096);
     let _ = write!(
         s,
@@ -102,7 +84,9 @@ pub fn render_json(report: &ZoneReport, exec: &ExecutorStats, fabric: &[ShardGri
         if i > 0 {
             s.push(',');
         }
-        let _ = write!(s, "\n    {{\"label\":\"{}\",\"zones\":[", esc(&t.label));
+        s.push_str("\n    {\"label\":");
+        write_json_string(&t.label, &mut s);
+        s.push_str(",\"zones\":[");
         for (j, root) in t.roots.iter().enumerate() {
             if j > 0 {
                 s.push(',');
@@ -122,39 +106,11 @@ pub fn render_json(report: &ZoneReport, exec: &ExecutorStats, fabric: &[ShardGri
         }
         let _ = write!(
             s,
-            "{{\"tasks\":{},\"steals_hit\":{},\"steals_missed\":{},\"span_drains\":{},\"busy_ns\":{},\"idle_ns\":{}}}",
-            w.tasks, w.steals_hit, w.steals_missed, w.span_drains, w.busy_ns, w.idle_ns
+            "{{\"tasks\":{},\"busy_ns\":{},\"idle_ns\":{}}}",
+            w.tasks, w.busy_ns, w.idle_ns
         );
     }
-    s.push_str("]},\n  \"shard_fabric\": [");
-    for (i, g) in fabric.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "\n    {{\"grid\":{},\"shards\":{},\"spawn_ns\":{},\"merge_ns\":{},\"fold_ns\":{},\"worker_wall_ns\":[",
-            g.grid, g.shards, g.spawn_ns, g.merge_ns, g.fold_ns
-        );
-        for (j, ns) in g.worker_wall_ns.iter().enumerate() {
-            if j > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{ns}");
-        }
-        s.push_str("],\"worker_tasks\":[");
-        for (j, n) in g.worker_tasks.iter().enumerate() {
-            if j > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{n}");
-        }
-        s.push_str("]}");
-    }
-    if !fabric.is_empty() {
-        s.push_str("\n  ");
-    }
-    s.push_str("]\n}\n");
+    s.push_str("]}\n}\n");
     s
 }
 
@@ -164,8 +120,7 @@ pub fn render_json(report: &ZoneReport, exec: &ExecutorStats, fabric: &[ShardGri
 pub fn write_profile(path: &Path) {
     let report = sais_prof::report();
     let exec = crate::executor::executor_stats();
-    let fabric = crate::executor::shard_stats();
-    let json = render_json(&report, &exec, &fabric);
+    let json = render_json(&report, &exec);
     match std::fs::write(path, &json) {
         Ok(()) => eprintln!("[profile] {}", path.display()),
         Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
@@ -216,17 +171,11 @@ mod tests {
             workers: vec![
                 WorkerCounters {
                     tasks: 5,
-                    steals_hit: 1,
-                    steals_missed: 0,
-                    span_drains: 1,
                     busy_ns: 900,
                     idle_ns: 100,
                 },
                 WorkerCounters {
                     tasks: 3,
-                    steals_hit: 0,
-                    steals_missed: 2,
-                    span_drains: 1,
                     busy_ns: 700,
                     idle_ns: 300,
                 },
@@ -236,16 +185,7 @@ mod tests {
 
     #[test]
     fn json_round_trips_through_parser() {
-        let fabric = vec![ShardGridStats {
-            grid: 0,
-            shards: 2,
-            spawn_ns: 11,
-            worker_wall_ns: vec![500, 700],
-            worker_tasks: vec![4, 4],
-            merge_ns: 9,
-            fold_ns: 3,
-        }];
-        let s = render_json(&sample_report(), &sample_exec(), &fabric);
+        let s = render_json(&sample_report(), &sample_exec());
         let v = JsonValue::parse(&s).expect("valid JSON");
         assert_eq!(v.get("schema").and_then(JsonValue::as_str), Some(SCHEMA));
         assert_eq!(
@@ -283,28 +223,8 @@ mod tests {
         let workers = exec.get("workers").and_then(JsonValue::as_array).unwrap();
         assert_eq!(workers.len(), 2);
         assert_eq!(
-            workers[1].get("steals_missed").and_then(JsonValue::as_u64),
-            Some(2)
-        );
-        let fab = v.get("shard_fabric").and_then(JsonValue::as_array).unwrap();
-        assert_eq!(fab.len(), 1);
-        assert_eq!(fab[0].get("shards").and_then(JsonValue::as_u64), Some(2));
-        let walls = fab[0]
-            .get("worker_wall_ns")
-            .and_then(JsonValue::as_array)
-            .unwrap();
-        assert_eq!(walls.len(), 2);
-    }
-
-    #[test]
-    fn empty_fabric_renders_empty_array() {
-        let s = render_json(&sample_report(), &sample_exec(), &[]);
-        let v = JsonValue::parse(&s).expect("valid JSON");
-        assert_eq!(
-            v.get("shard_fabric")
-                .and_then(JsonValue::as_array)
-                .map(<[JsonValue]>::len),
-            Some(0)
+            workers[1].get("idle_ns").and_then(JsonValue::as_u64),
+            Some(300)
         );
     }
 
@@ -312,7 +232,7 @@ mod tests {
     fn labels_are_escaped() {
         let mut r = sample_report();
         r.threads[0].label = "we\"ird\\lab\nel".into();
-        let s = render_json(&r, &sample_exec(), &[]);
+        let s = render_json(&r, &sample_exec());
         let v = JsonValue::parse(&s).expect("escapes keep the JSON valid");
         let threads = v.get("threads").and_then(JsonValue::as_array).unwrap();
         assert_eq!(

@@ -1,20 +1,14 @@
-//! The `--timeseries` export plane: deterministic cross-shard aggregation
-//! of windowed telemetry into one `sais-timeseries/v1` JSONL document.
+//! The `--timeseries` export plane: deterministic aggregation of windowed
+//! telemetry into one `sais-timeseries/v1` JSONL document.
 //!
 //! Every figure binary accepts `--timeseries <path>`.
 //! When active, the sweep runner enables [`ObsConfig::timeseries`] on every
 //! grid cell — sampling is bit-inert, so the figure CSV does not move — and
 //! folds each run's [`TelemetrySeries`] into a process-global [`Collector`]
 //! keyed by policy label and window epoch. All window payloads are
-//! integers, so the fold is exact, associative and commutative: the merged
+//! integers, so the fold is exact, associative and commutative, and the
+//! sweep runner folds in fixed `(cell, seed)` order on top: the merged
 //! series is byte-identical no matter how the grid was scheduled.
-//!
-//! Under `--shards N` the fold crosses process boundaries: a worker prints
-//! one [`encode_window_line`] per retained window (`shardwin ...`, raw
-//! integer fields, sparse histogram buckets) alongside its `shardtask`
-//! result lines; the parent decodes them and folds in fixed
-//! `(task, policy, epoch)` order. CI `cmp`s the JSONL across
-//! `--shards {1,2}` to pin the guarantee.
 //!
 //! Binaries that never run a sweep grid (`fig12_memsim`, the ablations)
 //! fall back to the instrumented demo scenario, whose
@@ -24,7 +18,7 @@
 //! [`TelemetrySeries`]: sais_core::telemetry::TelemetrySeries
 
 use sais_core::telemetry::{TelemetryCell, TelemetrySeries};
-use sais_metrics::{sparkline, Histogram};
+use sais_metrics::sparkline;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -37,7 +31,7 @@ pub const TIMESERIES_SCHEMA: &str = "sais-timeseries/v1";
 pub const SPARKLINE_WIDTH: usize = 64;
 
 /// Process-wide switch, installed once from the parsed command line
-/// (first caller wins, same discipline as the shard plan). When off —
+/// (first caller wins). When off —
 /// library use, tests, no `--timeseries` flag — the sweep runner leaves
 /// `ObsConfig::timeseries` alone and collects nothing.
 static ACTIVE: OnceLock<bool> = OnceLock::new();
@@ -59,7 +53,7 @@ pub fn collector() -> &'static Mutex<Collector> {
 }
 
 /// Deterministic aggregation of telemetry windows across every sweep
-/// cell, seed and shard: one [`TelemetryCell`] per (policy label, epoch),
+/// cell and seed: one [`TelemetryCell`] per (policy label, epoch),
 /// merged with the same exact integer absorbs the window ring uses.
 #[derive(Debug, Default)]
 pub struct Collector {
@@ -84,7 +78,7 @@ impl Collector {
     }
 
     /// Fold one window into the (policy, epoch) aggregate.
-    pub fn fold_cell(&mut self, policy: &str, width_ns: u64, epoch: u64, cell: &TelemetryCell) {
+    fn fold_cell(&mut self, policy: &str, width_ns: u64, epoch: u64, cell: &TelemetryCell) {
         use sais_metrics::WindowPayload;
         if self.width_ns == 0 {
             self.width_ns = width_ns;
@@ -115,8 +109,7 @@ impl Collector {
 
     /// Serialize as `sais-timeseries/v1` JSONL: a header object, then one
     /// object per (policy, epoch) in sorted order. Every value is an
-    /// integer, so the bytes are a pure function of the folded windows —
-    /// the cross-shard identity CI asserts with `cmp`.
+    /// integer, so the bytes are a pure function of the folded windows.
     pub fn to_jsonl(&self) -> String {
         let names = self
             .policies
@@ -203,96 +196,6 @@ impl Collector {
     }
 }
 
-/// Encode one retained window for the worker→parent pipe: every field a
-/// decimal integer (integers round-trip exactly — no hex needed), the
-/// latency histogram in its sparse `(index:count)` form with the u128 sum
-/// split into two u64 halves. One line per (task, policy, epoch).
-pub fn encode_window_line(
-    t: usize,
-    policy: usize,
-    width_ns: u64,
-    epoch: u64,
-    c: &TelemetryCell,
-) -> String {
-    let h = &c.latency;
-    let sum = h.sum();
-    let mut s = format!(
-        "shardwin {t} {policy} {width_ns} {epoch} {} {} {} {} {} {} {} {} {}",
-        c.queue_high_water,
-        c.degraded_flows,
-        c.degrades,
-        c.repromotes,
-        c.faults,
-        h.min(),
-        h.max(),
-        (sum >> 64) as u64,
-        sum as u64,
-    );
-    write!(s, " {}", c.core_irqs.len()).expect("write to String");
-    for v in &c.core_irqs {
-        write!(s, " {v}").expect("write to String");
-    }
-    let sparse: Vec<(usize, u64)> = h.sparse_buckets().collect();
-    write!(s, " {}", sparse.len()).expect("write to String");
-    for (i, cnt) in sparse {
-        write!(s, " {i}:{cnt}").expect("write to String");
-    }
-    s
-}
-
-/// Decode an [`encode_window_line`] line; `None` for any other line (the
-/// parent skips unrelated worker stdout, exactly like `shardtask`).
-pub fn decode_window_line(line: &str) -> Option<(usize, usize, u64, u64, TelemetryCell)> {
-    let mut it = line.split(' ');
-    if it.next()? != "shardwin" {
-        return None;
-    }
-    let t: usize = it.next()?.parse().ok()?;
-    let policy: usize = it.next()?.parse().ok()?;
-    let width_ns: u64 = it.next()?.parse().ok()?;
-    let epoch: u64 = it.next()?.parse().ok()?;
-    let mut next_u64 = || -> Option<u64> { it.next()?.parse().ok() };
-    let queue_high_water = next_u64()?;
-    let degraded_flows = next_u64()?;
-    let degrades = next_u64()?;
-    let repromotes = next_u64()?;
-    let faults = next_u64()?;
-    let min = next_u64()?;
-    let max = next_u64()?;
-    let sum = ((next_u64()? as u128) << 64) | next_u64()? as u128;
-    let ncores = next_u64()? as usize;
-    let mut core_irqs = Vec::with_capacity(ncores);
-    for _ in 0..ncores {
-        core_irqs.push(next_u64()?);
-    }
-    let nbuckets = next_u64()? as usize;
-    let mut sparse = Vec::with_capacity(nbuckets);
-    for _ in 0..nbuckets {
-        let pair = it.next()?;
-        let (i, c) = pair.split_once(':')?;
-        sparse.push((i.parse().ok()?, c.parse().ok()?));
-    }
-    if it.next().is_some() {
-        return None; // trailing junk: not ours
-    }
-    let latency = Histogram::from_sparse(&sparse, sum, min, max);
-    Some((
-        t,
-        policy,
-        width_ns,
-        epoch,
-        TelemetryCell {
-            latency,
-            queue_high_water,
-            core_irqs,
-            degraded_flows,
-            degrades,
-            repromotes,
-            faults,
-        },
-    ))
-}
-
 /// Write the collected series as JSONL to `path` and render its
 /// sparklines to stderr. When nothing was collected — a binary with no
 /// sweep grid — the instrumented demo scenario (sampler on via
@@ -338,42 +241,9 @@ mod tests {
     }
 
     #[test]
-    fn window_line_round_trips_exactly() {
-        let c = cell(&[1_000, 5_000, 5_000, 123_456_789], 17, &[0, 3, 0, 9]);
-        let line = encode_window_line(42, 1, 1_000_000, 7, &c);
-        let (t, p, w, e, back) = decode_window_line(&line).expect("round trip");
-        assert_eq!((t, p, w, e), (42, 1, 1_000_000, 7));
-        assert_eq!(back, c, "every field including the histogram bits");
-    }
-
-    #[test]
-    fn empty_histogram_round_trips_to_pristine() {
-        let c = cell(&[], 0, &[]);
-        let line = encode_window_line(0, 0, 1_000, 0, &c);
-        let (.., back) = decode_window_line(&line).expect("round trip");
-        assert_eq!(back.latency, Histogram::new());
-        assert_eq!(back, c);
-    }
-
-    #[test]
-    fn decode_rejects_foreign_and_malformed_lines() {
-        assert_eq!(decode_window_line("shardtask 3 0000000000000000"), None);
-        assert_eq!(decode_window_line("shardwin"), None);
-        assert_eq!(decode_window_line("shardwin 1 0 1000"), None, "truncated");
-        let c = cell(&[5], 1, &[1]);
-        let line = encode_window_line(0, 0, 1_000, 0, &c);
-        assert_eq!(decode_window_line(&(line.clone() + " junk")), None);
-        assert_eq!(
-            decode_window_line(&line.replace("shardwin", "shardwim")),
-            None
-        );
-    }
-
-    #[test]
     fn collector_fold_is_grouping_independent() {
         // Folding two series whole vs. window-by-window in reverse order
-        // lands on identical JSONL bytes — the shard-identity argument in
-        // miniature.
+        // lands on identical JSONL bytes.
         let a = cell(&[1_000, 2_000], 5, &[1, 0]);
         let b = cell(&[8_000], 9, &[0, 2, 4]);
         let mut whole = Collector::default();

@@ -3,8 +3,7 @@
 //! the exact per-line walk, and the figure CSVs must not move by a byte.
 //! This is the oracle-equivalence property of the memory fast paths
 //! checked end-to-end at the binary boundary, not just in unit tests —
-//! covering the real scenario mix, the shard fabric, and the figure
-//! emit path in one go.
+//! covering the real scenario mix and the figure emit path in one go.
 
 use std::process::Command;
 
@@ -43,20 +42,6 @@ fn fig05_csv_is_byte_identical_with_summaries_disabled() {
         String::from_utf8_lossy(&on),
         String::from_utf8_lossy(&off),
         "forced fallback must be the same walk, not a similar one"
-    );
-}
-
-#[test]
-fn sharded_fig05_csv_is_byte_identical_with_summaries_disabled() {
-    // The env var propagates to the spawn-self shard workers, so this
-    // pins the acceptance grid's fourth corner: shards 2 × extents off
-    // against shards 1 × extents on.
-    let on = run(fig05, &["--quick"], false);
-    let off = run(fig05, &["--quick", "--shards", "2"], true);
-    assert_eq!(
-        String::from_utf8_lossy(&on),
-        String::from_utf8_lossy(&off),
-        "fallback walk must survive the shard fabric byte for byte"
     );
 }
 

@@ -18,10 +18,10 @@
 //! [`DetectorState`](sais_obs::DetectorState) immediately — bounded
 //! memory, O(1) per-window detector state.
 //!
-//! All cell fields are integers, so merging same-epoch cells from
-//! different seeds or shards is exact, associative and commutative: the
-//! sharded sweep fabric folds raw-bits partials in fixed (cell, seed,
-//! epoch) order and lands on the same bytes for any shard count.
+//! All cell fields are integers, so absorbing same-epoch cells from
+//! different cells or seeds is exact, associative and commutative: the
+//! `--timeseries` collector lands on the same bytes however the sweep
+//! was scheduled.
 
 use sais_metrics::{Histogram, WindowPayload, WindowRing};
 use sais_obs::{DetectorConfig, DetectorState, TelemetryVerdict, WindowStats};
@@ -145,19 +145,6 @@ impl TelemetrySeries {
     /// Summarize every retained window, oldest first.
     pub fn stats(&self) -> Vec<WindowStats> {
         self.windows().map(|(e, c)| c.stats(e)).collect()
-    }
-
-    /// Fold another run's series into this one, aligning by epoch. Exact
-    /// (integer) and grouping-independent; a disabled operand is a no-op,
-    /// and merging into a disabled series adopts the other's ring.
-    pub fn merge(&mut self, other: &TelemetrySeries) {
-        let Some(other_ring) = other.ring.as_ref() else {
-            return;
-        };
-        match self.ring.as_mut() {
-            Some(ring) => ring.merge(other_ring),
-            None => self.ring = Some(other_ring.clone()),
-        }
     }
 }
 
@@ -409,38 +396,5 @@ mod tests {
         let stats = s.series().stats();
         assert_eq!(stats.len(), 6);
         assert!(stats[1..].iter().all(|w| w.irqs == 0));
-    }
-
-    #[test]
-    fn series_merge_is_exact_and_adopts_into_disabled() {
-        let mut a = TelemetrySampler::enabled(1_000, 64);
-        a.record_latency(0, 1_000);
-        a.finish(1, 0, 2, 1);
-        let mut b = TelemetrySampler::enabled(1_000, 64);
-        b.record_latency(100, 3_000);
-        b.record_irq(1_200, 2, 9);
-        b.finish(0, 1, 4, 0);
-
-        let mut merged = TelemetrySeries::disabled();
-        merged.merge(a.series());
-        merged.merge(b.series());
-        let stats = merged.stats();
-        assert_eq!(stats.len(), 2);
-        assert_eq!(stats[0].samples, 2);
-        assert_eq!(stats[0].degrades, 1);
-        assert_eq!(stats[0].repromotes, 1);
-        assert_eq!(stats[0].faults, 6);
-        assert_eq!(stats[1].queue_high_water, 9);
-
-        // Merging in the opposite order lands on identical windows.
-        let mut rev = TelemetrySeries::disabled();
-        rev.merge(b.series());
-        rev.merge(a.series());
-        assert_eq!(rev, merged);
-
-        // A disabled operand changes nothing.
-        let snapshot = merged.clone();
-        merged.merge(&TelemetrySeries::disabled());
-        assert_eq!(merged, snapshot);
     }
 }

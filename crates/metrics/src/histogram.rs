@@ -150,36 +150,6 @@ impl Histogram {
     pub fn sum(&self) -> u128 {
         self.sum
     }
-
-    /// The non-empty buckets as `(index, count)` pairs — the sparse wire
-    /// form used by the shard telemetry protocol. Round-trips through
-    /// [`Histogram::from_sparse`].
-    pub fn sparse_buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0)
-            .map(|(i, &c)| (i, c))
-    }
-
-    /// Rebuild a histogram from its sparse wire form. `min`/`max` are the
-    /// public accessor values of the source histogram; an empty bucket
-    /// list reproduces the pristine empty state regardless of them.
-    pub fn from_sparse(buckets: &[(usize, u64)], sum: u128, min: u64, max: u64) -> Self {
-        let mut h = Histogram::new();
-        if buckets.is_empty() {
-            return h;
-        }
-        for &(idx, c) in buckets {
-            assert!(idx < BUCKETS, "sparse bucket index {idx} out of range");
-            h.buckets[idx] += c;
-            h.count += c;
-        }
-        h.sum = sum;
-        h.min = min;
-        h.max = max;
-        h
-    }
 }
 
 #[cfg(test)]
@@ -308,26 +278,6 @@ mod tests {
         assert_eq!(ab.count(), 6);
         assert_eq!(ab.min(), 1);
         assert_eq!(ab.max(), 500_000);
-    }
-
-    #[test]
-    fn sparse_roundtrip() {
-        let mut h = Histogram::new();
-        for v in [0u64, 1, 7, 8, 1_000, 65_536, u64::MAX] {
-            h.record(v);
-        }
-        let parts: Vec<(usize, u64)> = h.sparse_buckets().collect();
-        let back = Histogram::from_sparse(&parts, h.sum(), h.min(), h.max());
-        assert_eq!(back, h);
-
-        // The empty histogram round-trips to the pristine state even if
-        // the caller passes the public accessor values (0, 0).
-        let e = Histogram::new();
-        let parts: Vec<(usize, u64)> = e.sparse_buckets().collect();
-        assert!(parts.is_empty());
-        let back = Histogram::from_sparse(&parts, e.sum(), e.min(), e.max());
-        assert_eq!(back, Histogram::new());
-        assert_eq!(back.min(), 0);
     }
 
     #[test]

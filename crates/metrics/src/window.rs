@@ -15,18 +15,18 @@
 //!   advancing time past the ring evicts the oldest windows (counted in
 //!   [`WindowRing::evictions`]) and gap-fills skipped epochs with empty
 //!   windows so the series stays contiguous.
-//! * **Merge is exact.** All payloads fold with integer adds and maxes,
-//!   so merging same-epoch windows from different shards (or seeds) is
-//!   associative and commutative — the cross-shard aggregation can fold
-//!   partials in any grouping and land on the same bits.
+//! * **Absorb is exact.** All payloads fold with integer adds and maxes,
+//!   so absorbing same-epoch windows from different runs (cells, seeds)
+//!   is associative and commutative — an aggregation can fold them in
+//!   any grouping and land on the same bits.
 
 use crate::histogram::Histogram;
 
 /// A payload that can live in one window of a [`WindowRing`].
 ///
 /// `absorb` must be exact (integer arithmetic only), associative and
-/// commutative: the shard merge protocol folds same-epoch payloads from
-/// many processes and relies on the result being grouping-independent.
+/// commutative: the `--timeseries` collector folds same-epoch payloads
+/// from many runs and relies on the result being grouping-independent.
 pub trait WindowPayload: Default + Clone {
     /// Fold another same-epoch payload into this one.
     fn absorb(&mut self, other: &Self);
@@ -38,7 +38,7 @@ impl WindowPayload for Histogram {
     }
 }
 
-/// A windowed event counter: merge adds.
+/// A windowed event counter: absorb adds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CounterCell(pub u64);
 
@@ -48,7 +48,7 @@ impl WindowPayload for CounterCell {
     }
 }
 
-/// A windowed high-water gauge: merge takes the max.
+/// A windowed high-water gauge: absorb takes the max.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GaugeCell(pub u64);
 
@@ -196,56 +196,6 @@ impl<T: WindowPayload> WindowRing<T> {
         }
         self.cells.get((epoch - self.start_epoch) as usize)
     }
-
-    /// Fold another ring into this one, aligning windows by epoch. Both
-    /// rings must share the same window width. The result covers the most
-    /// recent `capacity` epochs of the union range; same-epoch payloads
-    /// are absorbed exactly, so the fold is associative and commutative
-    /// over ring sets regardless of grouping. The host-side bookkeeping
-    /// counters (`rotations`, `evictions`, `late`) sum, keeping the fold
-    /// grouping-independent for them too.
-    pub fn merge(&mut self, other: &Self) {
-        assert_eq!(
-            self.width_ns, other.width_ns,
-            "cannot merge windows of different widths"
-        );
-        self.rotations += other.rotations;
-        self.evictions += other.evictions;
-        self.late += other.late;
-        if other.cells.is_empty() {
-            return;
-        }
-        if self.cells.is_empty() {
-            self.start_epoch = other.start_epoch;
-            self.cells = other.cells.clone();
-        } else {
-            let lo = self.start_epoch.min(other.start_epoch);
-            let hi = (self.start_epoch + self.cells.len() as u64)
-                .max(other.start_epoch + other.cells.len() as u64);
-            let mut merged: Vec<T> = Vec::with_capacity((hi - lo) as usize);
-            for epoch in lo..hi {
-                let mut cell = if epoch >= self.start_epoch
-                    && epoch < self.start_epoch + self.cells.len() as u64
-                {
-                    std::mem::take(&mut self.cells[(epoch - self.start_epoch) as usize])
-                } else {
-                    T::default()
-                };
-                if let Some(o) = other.window(epoch) {
-                    cell.absorb(o);
-                }
-                merged.push(cell);
-            }
-            self.start_epoch = lo;
-            self.cells = merged;
-        }
-        if self.cells.len() > self.cap {
-            let excess = self.cells.len() - self.cap;
-            self.cells.drain(..excess);
-            self.start_epoch += excess as u64;
-            self.evictions += excess as u64;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -302,71 +252,5 @@ mod tests {
         // Re-advancing inside an open window is a no-op.
         r.advance_to(3_999);
         assert_eq!(r.rotations(), 4);
-    }
-
-    #[test]
-    fn merge_aligns_by_epoch() {
-        let mut a: WindowedCounter = WindowRing::new(100, 32);
-        let mut b: WindowedCounter = WindowRing::new(100, 32);
-        a.record_at(0, |c| c.0 += 1);
-        a.record_at(250, |c| c.0 += 2);
-        b.record_at(150, |c| c.0 += 10);
-        b.record_at(250, |c| c.0 += 20);
-        b.record_at(450, |c| c.0 += 40);
-        a.merge(&b);
-        let got: Vec<(u64, u64)> = a.windows().map(|(e, c)| (e, c.0)).collect();
-        assert_eq!(got, vec![(0, 1), (1, 10), (2, 22), (3, 0), (4, 40)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "different widths")]
-    fn merge_rejects_width_mismatch() {
-        let mut a: WindowedCounter = WindowRing::new(100, 4);
-        let b: WindowedCounter = WindowRing::new(200, 4);
-        a.merge(&b);
-    }
-
-    #[test]
-    fn merge_is_grouping_independent() {
-        // ((a ⊕ b) ⊕ c) == (a ⊕ (b ⊕ c)) for gauge (max) payloads too.
-        let mk = |pairs: &[(u64, u64)]| {
-            let mut r: WindowedGauge = WindowRing::new(50, 64);
-            for &(t, v) in pairs {
-                r.record_at(t, |g| g.0 = g.0.max(v));
-            }
-            r
-        };
-        let a = mk(&[(0, 5), (120, 9)]);
-        let b = mk(&[(60, 7), (180, 2)]);
-        let c = mk(&[(0, 6), (250, 4)]);
-        let mut left = a.clone();
-        left.merge(&b);
-        left.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut right = a.clone();
-        right.merge(&bc);
-        assert_eq!(left, right);
-    }
-
-    #[test]
-    fn windowed_histogram_merges_exactly() {
-        let mut a: WindowedHistogram = WindowRing::new(1_000, 16);
-        let mut b: WindowedHistogram = WindowRing::new(1_000, 16);
-        let mut whole: WindowedHistogram = WindowRing::new(1_000, 16);
-        for i in 0..200u64 {
-            let t = i * 37;
-            let v = (i * i) % 5_000;
-            let target = if i % 2 == 0 { &mut a } else { &mut b };
-            target.record_at(t, |h| h.record(v));
-            whole.record_at(t, |h| h.record(v));
-        }
-        a.merge(&b);
-        // Window contents are bit-identical to the single-ring recording;
-        // the host-side rotation counter sums over the merged operands.
-        let merged: Vec<(u64, &Histogram)> = a.windows().collect();
-        let single: Vec<(u64, &Histogram)> = whole.windows().collect();
-        assert_eq!(merged, single);
-        assert_eq!(a.start_epoch(), whole.start_epoch());
     }
 }

@@ -1,8 +1,7 @@
 //! Property tests of the windowed time-series ring: rotation is a pure
 //! function of the virtual clock (record batching cannot move a sample
-//! between windows), and sharded merge reproduces the single-process
-//! series bit for bit — the two invariants the `--timeseries` export
-//! plane is built on.
+//! between windows) — the invariant the `--timeseries` export plane is
+//! built on.
 
 use proptest::prelude::*;
 use sais_metrics::{Histogram, WindowedHistogram};
@@ -52,47 +51,5 @@ proptest! {
         }
         prop_assert_eq!(windows_of(&eager), windows_of(&batched));
         prop_assert_eq!(eager.start_epoch(), batched.start_epoch());
-    }
-
-    /// Sharding the event stream `i % shards` (the sweep fabric's task
-    /// split) into per-shard rings and merging them reproduces the
-    /// single-process ring's windows exactly, for any shard count and
-    /// any merge order.
-    #[test]
-    fn shard_merge_matches_single_process(
-        width in 1u64..5_000,
-        shards in 1usize..6,
-        times in proptest::collection::vec(0u64..1_000_000, 1..200),
-    ) {
-        let mut times = times;
-        times.sort_unstable();
-        let events: Vec<(u64, u64)> = times.iter().map(|&t| (t, t.rotate_left(7) % 4_000 + 1)).collect();
-        let whole = series_of(width, 4096, &events);
-
-        let parts: Vec<WindowedHistogram> = (0..shards)
-            .map(|s| {
-                let mine: Vec<(u64, u64)> = events
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| i % shards == s)
-                    .map(|(_, &e)| e)
-                    .collect();
-                series_of(width, 4096, &mine)
-            })
-            .collect();
-
-        // Forward merge order.
-        let mut fwd = WindowedHistogram::new(width, 4096);
-        for p in &parts {
-            fwd.merge(p);
-        }
-        prop_assert_eq!(windows_of(&whole), windows_of(&fwd));
-
-        // Reverse merge order lands on the same windows.
-        let mut rev = WindowedHistogram::new(width, 4096);
-        for p in parts.iter().rev() {
-            rev.merge(p);
-        }
-        prop_assert_eq!(windows_of(&fwd), windows_of(&rev));
     }
 }

@@ -24,9 +24,8 @@
 
 /// One closed telemetry window, summarized with integer statistics.
 ///
-/// All fields are exact integers so that same-epoch summaries from
-/// different shards merge without rounding (see the window module in
-/// `sais-metrics`).
+/// All fields are exact integers, like the window payloads they
+/// summarize (see the window module in `sais-metrics`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WindowStats {
     /// Window index: `epoch = t_ns / window_ns`.

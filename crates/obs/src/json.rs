@@ -206,7 +206,7 @@ impl JsonValue {
 
 /// Append `s` as a JSON string literal. Each run of characters that needs
 /// no escape is pushed as one slice.
-pub(crate) fn write_json_string(s: &str, out: &mut String) {
+pub fn write_json_string(s: &str, out: &mut String) {
     out.push('"');
     let mut run = 0;
     for (i, &b) in s.as_bytes().iter().enumerate() {
