@@ -154,13 +154,16 @@ fn bench_tcp_transfer() {
         let mut snd = TcpSender::new(total, SimDuration::from_millis(2));
         let mut rcv = TcpReceiver::new();
         let mut now = SimTime::ZERO;
+        let mut segs = Vec::new();
+        snd.poll(now, &mut segs);
         let mut in_flight: std::collections::VecDeque<u64> =
-            snd.poll(now).into_iter().map(|s| s.seq).collect();
+            segs.drain(..).map(|s| s.seq).collect();
         while !snd.done() {
             let seq = in_flight.pop_front().expect("pipe never empty");
             now += SimDuration::from_nanos(100);
             let ack = rcv.on_segment(seq);
-            in_flight.extend(snd.on_ack(now, ack).into_iter().map(|s| s.seq));
+            snd.on_ack(now, ack, &mut segs);
+            in_flight.extend(segs.drain(..).map(|s| s.seq));
         }
         rcv.delivered
     });

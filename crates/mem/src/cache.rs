@@ -24,19 +24,38 @@
 //! last nibble of the recency order. Empty ways are chosen by the
 //! occupancy mask (lowest clear bit = first empty way), never by
 //! recency, matching the old walk's first-empty-way choice.
+//!
+//! **Run lists.** Consecutive lines map to consecutive sets, and a
+//! strip's fills and reads drive runs of sets through identical
+//! histories. So recency and tags are kept per aligned 64-set *block* as
+//! `Runs`: a block's recency is up to eight runs of sets sharing one
+//! word, and each (way, block) strip's tags are up to eight runs of sets
+//! holding one group's lines, nothing, or the raw per-set words. Every
+//! operation is a range operation over runs: a fill, promotion or
+//! invalidation of sets `[a, b)` splits at most the two runs at its ends
+//! and updates each run in between once. The per-set `recency` words
+//! and raw `tags` are the materialized form, authoritative only where a
+//! list says so: a block whose recency needs more than eight runs, or a
+//! strip run marked raw.
 
 use crate::addr::LineAddr;
+use crate::runs::{Runs, MAX_RUNS};
 use sais_metrics::Counter;
 
 const TAG_INVALID: u64 = u64::MAX;
 
-/// Sets per recency/occupancy *block* — the unit at which whole-group
-/// fills virtualize their replacement state. Equal to the extent group
-/// size ([`crate::extent::GROUP_LINES`]): an aligned 64-line group maps
+/// Sets per recency/strip *block*. Equal to the extent group size
+/// ([`crate::extent::GROUP_LINES`]): an aligned 64-line group maps
 /// exactly onto one aligned 64-set block whenever `sets >= 64`, which is
 /// also the geometry gate for the extent fast paths.
-const BLOCK_SETS: usize = 64;
+const BLOCK_SETS: usize = crate::runs::SPAN;
 const BLOCK_SHIFT: u32 = 6;
+
+/// Strip run values: the raw per-set tag words are authoritative.
+const STRIP_RAW: u32 = 0;
+/// Strip run values: the way is empty at these sets. Any other value is
+/// `group + 1`: set `j` of the block holds line `64·group + j`.
+const STRIP_EMPTY: u32 = u32::MAX;
 
 /// Identity permutation: nibble `i` holds way `i`. Unused high nibbles
 /// (for `assoc < 16`) keep their identity values, which can never match
@@ -66,20 +85,16 @@ pub struct CacheStats {
 ///
 /// Tag storage is **way-major**: slot `(way << set_shift) | set`, so for a
 /// fixed way the tags of consecutive sets are adjacent words. Consecutive
-/// line addresses map to consecutive sets, and a streaming walk drives
-/// every set through the same access history — so the victim way is the
-/// same across a run of consecutive sets and the fill path's tag writes
-/// (and the directory validation reads of a later re-touch) become
-/// sequential. The set-major layout this replaced put `assoc` ways
-/// between one set's tag and the next (a 128-byte stride at 16 ways),
-/// costing the touch loop a scattered host cache line per simulated
-/// line.
+/// line addresses map to consecutive sets, so a (way, block) strip of 64
+/// tags is one contiguous run of words — the unit the strip run lists
+/// describe.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
-    /// Resident tag per way slot (`(way << set_shift) | set`);
-    /// `TAG_INVALID` empty.
+    /// Raw tag per way slot (`(way << set_shift) | set`); `TAG_INVALID`
+    /// empty. Authoritative only under a raw strip run.
     tags: Box<[u64]>,
     /// Per-set recency permutation: 4-bit way indices, MRU first.
+    /// Authoritative only for a block whose recency runs are empty.
     recency: Box<[u64]>,
     /// Per-set occupancy bitmask: bit `w` set ⇔ way `w` holds a valid tag.
     occ: Box<[u16]>,
@@ -93,83 +108,83 @@ pub struct SetAssocCache {
     resident: u64,
     /// Number of aligned [`BLOCK_SETS`]-set blocks (`sets / 64`, or 0
     /// when the geometry is too small for block-grained state — then
-    /// every virtual path below is statically dormant).
+    /// every set is materialized and tags are always raw).
     blocks: usize,
-    /// Per-block state, one [`Block`] per aligned 64-set block: the
-    /// shared recency word(s) of a virtual block, its split, and its
-    /// full-set count — kept together so a block-grained operation
-    /// touches one host cache line of it.
+    /// Per-block recency runs and full-set count.
     blk: Box<[Block]>,
-    /// Per-(way, block) reverse map: `group + 1` when the 64 tags of the
-    /// way strip are known to be exactly the lines of that aligned
-    /// group, else 0. A true-when-nonzero hint: whole-group fills set
-    /// it, and every per-line mutation of a strip clears it. Lets a
-    /// whole-strip eviction account its 64 victims as one extent
-    /// decrement without reading a single tag. Indexed `way * blocks +
-    /// block`.
-    vstrip: Box<[u64]>,
-    /// Per-(way, block) flag: the strip's raw `tags` words are stale and
-    /// its logical tags are *derived* from the `vstrip` hint — line
-    /// `64·group + (set & 63)` at every set of the block. Whole-group
-    /// fills set it instead of storing 64 tag words (the dominant memory
-    /// traffic of the streaming fill path); any per-line read or
-    /// mutation of the strip materializes the derived tags first
-    /// ([`SetAssocCache::materialize_strip_tags`]). Invariants: lazy ⇒
-    /// the hint is live and every set of the block holds the way (a
-    /// partial eviction always materializes before clearing a tag).
-    vtag_lazy: Box<[bool]>,
+    /// Per-(way, block) tag runs, indexed `way * blocks + block`: values
+    /// [`STRIP_RAW`], [`STRIP_EMPTY`] or `group + 1`. A group run
+    /// stands for the 64·group + j iota without a tag store, so a
+    /// whole-group fill writes no tags and its later eviction reads
+    /// none: the victims are one `(group, bits)` per run.
+    strips: Box<[Runs<u32>]>,
+    /// Reusable log for single-line fills.
+    scratch: FillLog,
     /// Access/miss counters.
     pub stats: CacheStats,
 }
 
 /// The block-grained state of one aligned [`BLOCK_SETS`]-set block.
-///
-/// **Virtual recency.** While `virt` holds, the logical recency of
-/// **every** set of the block is `perm` and the per-set words in
-/// `recency` are stale; any per-set recency read or write must first
-/// call [`SetAssocCache::materialize_recency`]. Whole-group fills rotate
-/// this one word instead of splatting 64.
-///
-/// **Split.** A prefix fill `[0, at)` of a virtual block leaves two
-/// pieces with different recency: sets `[0, at)` follow `perm`, sets
-/// `[at, 64)` follow `hi_perm`, and the fill's way strip holds the
-/// prefix group `lo - 1` below `at` (derived when the strip is lazy,
-/// stored raw otherwise) and its old content above. The matching suffix
-/// fill collapses the block back to one piece; anything else
-/// materializes it first. The split way is `perm`'s MRU nibble: nothing
-/// changes `perm` while split without materializing the block first.
-/// Invariants: split ⇒ `virt`, occupancy uniform on each piece; the
-/// split strip is either lazy (hint = the group above `at`) or raw with
-/// no hint.
 #[derive(Debug, Clone, Copy)]
 struct Block {
-    /// The shared recency word (of the prefix piece, if split).
-    perm: u64,
-    /// The recency word of sets `[at, 64)` while split.
-    hi_perm: u64,
-    /// The prefix group + 1 while split.
-    lo: u64,
-    /// Completely full sets; 64 lets a whole-group fill skip the
-    /// occupancy probe entirely.
+    /// Runs of sets sharing a recency word; empty when the block's
+    /// per-set words are authoritative (more than eight runs).
+    rec: Runs<u64>,
+    /// Completely full sets; 64 lets a fill skip the occupancy probe.
     full: u32,
-    /// First set of the upper piece; 0 when unsplit.
-    at: u8,
-    /// Whether `perm` (rather than `recency`) is authoritative.
-    virt: bool,
 }
 
-/// How [`SetAssocCache::fill_group_virtual`] placed a group's run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum VGroupFill {
-    /// Every set of the run was full: the run's recency word rotated
-    /// once and the victim way's strip was displaced over the run.
-    /// `old_group` is the displaced group + 1 when the strip was known
-    /// to hold one group's lines there (one summary decrement of the
-    /// run's bits suffices), else 0 and the victim tags were appended to
-    /// the caller's sink.
-    Rotated { way: u32, old_group: u64 },
-    /// The run's sets shared an empty way: filled it with no evictions.
-    Fresh { way: u32 },
+/// What a [`SetAssocCache::fill_run`] placed and displaced.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FillLog {
+    /// `(offset from the fill's first line, way)` at the start of each
+    /// maximal stretch of lines placed at one way, in line order.
+    pub(crate) placed: Vec<(u32, u32)>,
+    /// Evicted lines read from raw tags.
+    pub(crate) victims: Vec<u64>,
+    /// Evicted lines read off group strip runs: `(group, bits)`.
+    pub(crate) victim_groups: Vec<(u64, u64)>,
+    /// Whether some block took the materialized per-set path.
+    pub(crate) per_set: bool,
+}
+
+impl FillLog {
+    /// Forget the previous fill.
+    #[inline(always)]
+    pub(crate) fn clear(&mut self) {
+        self.placed.clear();
+        self.victims.clear();
+        self.victim_groups.clear();
+        self.per_set = false;
+    }
+
+    /// The way of the line at `off` of the fill.
+    #[cfg(test)]
+    pub(crate) fn way_at(&self, off: u32) -> u32 {
+        let i = self.placed.partition_point(|&(o, _)| o <= off);
+        self.placed[i - 1].1
+    }
+}
+
+/// How many leading entries of `occ` equal `o`, four at a time.
+#[inline(always)]
+fn same_prefix(occ: &[u16], o: u16) -> usize {
+    let mut quads = occ.chunks_exact(4);
+    let mut n = 0;
+    for q in &mut quads {
+        if q != [o; 4] {
+            break;
+        }
+        n += 4;
+    }
+    n + occ[n..].iter().take_while(|&&x| x == o).count()
+}
+
+/// The bits of `n` positions from `j`.
+#[inline(always)]
+fn bits(j: usize, n: usize) -> u64 {
+    debug_assert!(n >= 1 && j + n <= BLOCK_SETS);
+    (u64::MAX >> (64 - n)) << j
 }
 
 impl SetAssocCache {
@@ -200,163 +215,17 @@ impl SetAssocCache {
             full_mask: (((1u32 << assoc) - 1) & 0xFFFF) as u16,
             resident: 0,
             blocks,
-            // Every recency word starts at the identity permutation, so
-            // the blocks start virtual: `perm` agrees with the per-set
-            // words it shadows.
             blk: vec![
                 Block {
-                    perm: PERM_IDENTITY,
-                    hi_perm: 0,
-                    lo: 0,
+                    rec: Runs::uniform(PERM_IDENTITY),
                     full: 0,
-                    at: 0,
-                    virt: true,
                 };
                 blocks
             ]
             .into_boxed_slice(),
-            vstrip: vec![0u64; blocks * assoc].into_boxed_slice(),
-            vtag_lazy: vec![false; blocks * assoc].into_boxed_slice(),
+            strips: vec![Runs::uniform(STRIP_EMPTY); blocks * assoc].into_boxed_slice(),
+            scratch: FillLog::default(),
             stats: CacheStats::default(),
-        }
-    }
-
-    /// Write the block's shared recency word (both pieces' words, if
-    /// split) into its 64 per-set words and hand authority back to
-    /// `recency`; a split block also writes its split strip's derived
-    /// tags and drops the strip's hint, since the strip holds two
-    /// groups. Exact: while the block was virtual, every set of a piece
-    /// had identical logical recency, so the splat reconstructs
-    /// precisely what the per-set scheme would contain.
-    #[inline]
-    fn materialize_recency(&mut self, b: usize) {
-        if self.blk[b].virt {
-            let sp = self.blk[b];
-            self.blk[b].virt = false;
-            self.blk[b].at = 0;
-            let at = match sp.at {
-                0 => BLOCK_SETS,
-                at => at as usize,
-            };
-            let s0 = b << BLOCK_SHIFT;
-            self.recency[s0..s0 + at].fill(sp.perm);
-            self.recency[s0 + at..s0 + BLOCK_SETS].fill(sp.hi_perm);
-            if sp.at != 0 {
-                let way = (sp.perm & 0xF) as usize;
-                let strip = way * self.blocks + b;
-                if self.vtag_lazy[strip] {
-                    self.vtag_lazy[strip] = false;
-                    let (lo, hi) = (
-                        (sp.lo - 1) << BLOCK_SHIFT,
-                        (self.vstrip[strip] - 1) << BLOCK_SHIFT,
-                    );
-                    let base = (way << self.set_shift) | s0;
-                    for (j, t) in self.tags[base..base + BLOCK_SETS].iter_mut().enumerate() {
-                        *t = if j < at { lo } else { hi } + j as u64;
-                    }
-                }
-                self.vstrip[strip] = 0;
-            }
-        }
-    }
-
-    /// The shared recency word of virtual block `b` at block offset `j`,
-    /// and the end of the piece holding `j`.
-    #[inline]
-    fn piece(&self, b: usize, j: usize) -> (u64, usize) {
-        let blk = &self.blk[b];
-        match blk.at as usize {
-            0 => (blk.perm, BLOCK_SETS),
-            at if j < at => (blk.perm, at),
-            _ => (blk.hi_perm, BLOCK_SETS),
-        }
-    }
-
-    /// Split virtual block `b` after a prefix fill of `at` sets (prefix
-    /// group `lo - 1`), which moved the prefix piece's word on from
-    /// `hi_perm`.
-    #[inline]
-    fn split(&mut self, b: usize, at: usize, lo: u64, hi_perm: u64) {
-        let blk = &mut self.blk[b];
-        (blk.at, blk.lo, blk.hi_perm) = (at as u8, lo, hi_perm);
-    }
-
-    /// Materialize the block covering `set`, if block state exists.
-    #[inline]
-    fn materialize_set(&mut self, set: usize) {
-        if self.blocks != 0 {
-            self.materialize_recency(set >> BLOCK_SHIFT);
-        }
-    }
-
-    /// Materialize every block overlapping `n` sets from `set0` (no
-    /// wrap: callers chunk at the set-array boundary).
-    #[inline]
-    fn materialize_range(&mut self, set0: usize, n: usize) {
-        if self.blocks != 0 && n != 0 {
-            for b in (set0 >> BLOCK_SHIFT)..=((set0 + n - 1) >> BLOCK_SHIFT) {
-                self.materialize_recency(b);
-            }
-        }
-    }
-
-    /// Write a lazy strip's derived tags (the hinted group's lines, one
-    /// per set) back into the raw tag array and drop the lazy flag. The
-    /// hint itself survives: the strip still holds exactly that group.
-    /// Exact by the lazy invariant — while the flag held, the strip's
-    /// logical content *was* this iota, so the store reconstructs
-    /// precisely what the eager fill would have written. A split block
-    /// is materialized whole first: its split strip derives two groups.
-    #[inline]
-    fn materialize_strip_tags(&mut self, way: usize, b: usize) {
-        if self.blk[b].at != 0 {
-            self.materialize_recency(b);
-        }
-        let strip = way * self.blocks + b;
-        if self.vtag_lazy[strip] {
-            self.vtag_lazy[strip] = false;
-            debug_assert_ne!(self.vstrip[strip], 0, "lazy strip without a hint");
-            let first = (self.vstrip[strip] - 1) << BLOCK_SHIFT;
-            let base = (way << self.set_shift) | (b << BLOCK_SHIFT);
-            for (j, t) in self.tags[base..base + BLOCK_SETS].iter_mut().enumerate() {
-                *t = first + j as u64;
-            }
-        }
-    }
-
-    /// Drop the whole-strip hint for the strip holding `(way, set)`:
-    /// called by every per-line mutation of a tag slot, *before* the
-    /// slot is read or written — a lazy strip's raw tags are stale until
-    /// materialized here.
-    #[inline]
-    fn clear_strip_hint(&mut self, way: usize, set: usize) {
-        if self.blocks != 0 {
-            let b = set >> BLOCK_SHIFT;
-            self.materialize_strip_tags(way, b);
-            self.vstrip[way * self.blocks + b] = 0;
-        }
-    }
-
-    /// The logical tag at `(way, set)`: the raw word, or the derived
-    /// line of a lazy strip.
-    #[inline]
-    fn logical_tag(&self, way: usize, set: usize) -> u64 {
-        self.tag_at(self.slot(way, set) as u32)
-    }
-
-    /// A set just transitioned empty-slot → full.
-    #[inline]
-    fn note_set_filled(&mut self, set: usize) {
-        if self.blocks != 0 {
-            self.blk[set >> BLOCK_SHIFT].full += 1;
-        }
-    }
-
-    /// A full set just lost a line.
-    #[inline]
-    fn note_set_unfilled(&mut self, set: usize) {
-        if self.blocks != 0 {
-            self.blk[set >> BLOCK_SHIFT].full -= 1;
         }
     }
 
@@ -381,9 +250,111 @@ impl SetAssocCache {
         (way << self.set_shift) | set
     }
 
-    /// Promote `way` in one recency word: the pure function behind
-    /// [`SetAssocCache::promote`], shared with the batched streak
-    /// promoter so both paths use the identical formula.
+    /// The last active nibble of a full set's recency word: its LRU way.
+    #[inline(always)]
+    fn lru(&self, perm: u64) -> usize {
+        let way = ((perm >> (4 * (self.assoc as u32 - 1))) & 0xF) as usize;
+        debug_assert!(way < self.assoc, "victim nibble out of range");
+        way
+    }
+
+    /// The wrap-free (and, with blocks, block-bounded) chunk of sets
+    /// from `set0` a range operation of `left` sets covers next.
+    #[inline(always)]
+    fn chunk(&self, set0: usize, left: usize) -> usize {
+        let room = if self.blocks != 0 {
+            BLOCK_SETS - (set0 & (BLOCK_SETS - 1))
+        } else {
+            self.sets - set0
+        };
+        left.min(room)
+    }
+
+    /// Write block `b`'s recency runs into its per-set words and hand
+    /// authority to them.
+    fn materialize_recency(&mut self, b: usize) {
+        let rec = self.blk[b].rec;
+        if rec.is_empty() {
+            return;
+        }
+        let s0 = b << BLOCK_SHIFT;
+        for (s, e, p) in rec.pieces(0, BLOCK_SETS) {
+            self.recency[s0 + s..s0 + e].fill(p);
+        }
+        self.blk[b].rec = Runs::empty();
+    }
+
+    /// Whether block `b`'s recency is held as runs.
+    #[inline(always)]
+    fn has_runs(&self, b: usize) -> bool {
+        !self.blk[b].rec.is_empty()
+    }
+
+    /// Hand a materialized block back to its runs if its per-set words
+    /// fit in [`MAX_RUNS`] runs again. Only hits can re-merge words — a
+    /// fill rotates a full set's word, a bijection — so this is tried
+    /// after a whole-block promotion only.
+    fn rederive_runs(&mut self, b: usize) {
+        let s0 = b << BLOCK_SHIFT;
+        if let Some(rec) = Runs::compress(&self.recency[s0..s0 + BLOCK_SETS]) {
+            self.blk[b].rec = rec;
+        }
+    }
+
+    /// The recency word of `set`, wherever it is authoritative.
+    #[inline(always)]
+    fn recency_of(&self, set: usize) -> u64 {
+        if self.blocks != 0 {
+            let rec = &self.blk[set >> BLOCK_SHIFT].rec;
+            if !rec.is_empty() {
+                return rec.get(set & (BLOCK_SETS - 1));
+            }
+        }
+        self.recency[set]
+    }
+
+    /// Write strip `(way, b)`'s group and empty runs into its raw tags,
+    /// leaving one raw run.
+    fn materialize_strip(&mut self, way: usize, b: usize) {
+        let i = way * self.blocks + b;
+        let runs = self.strips[i];
+        if runs.single() == Some(STRIP_RAW) {
+            return;
+        }
+        let base = self.slot(way, b << BLOCK_SHIFT);
+        for (s, e, v) in runs.pieces(0, BLOCK_SETS) {
+            let tags = &mut self.tags[base + s..base + e];
+            match v {
+                STRIP_RAW => {}
+                STRIP_EMPTY => tags.fill(TAG_INVALID),
+                g1 => {
+                    let first = (g1 as u64 - 1) << BLOCK_SHIFT;
+                    for (j, t) in (s..e).zip(tags) {
+                        *t = first | j as u64;
+                    }
+                }
+            }
+        }
+        self.strips[i] = Runs::uniform(STRIP_RAW);
+    }
+
+    /// Set sets `[a, b)` (block offsets) of strip `(way, blk)` to `v`,
+    /// materializing the strip first if the runs overflow. Sound for
+    /// the group and empty values only: a raw run needs its tags stored.
+    #[inline(always)]
+    fn set_strip(&mut self, way: usize, blk: usize, a: usize, b: usize, v: u32) {
+        debug_assert_ne!(v, STRIP_RAW);
+        let i = way * self.blocks + blk;
+        if !self.strips[i].set(a, b, v) {
+            self.materialize_strip(way, blk);
+            let fits = self.strips[i].set(a, b, v);
+            debug_assert!(fits, "three runs always fit");
+        }
+    }
+
+    /// Promote `way` in one recency word: the pure function behind every
+    /// promotion, shared by the run and per-set paths so both use the
+    /// identical formula.
     ///
     /// Locate the nibble holding `way`: XOR zeroes every nibble equal
     /// to `way`, and the borrow trick flags the zeroes. The lowest
@@ -391,8 +362,8 @@ impl SetAssocCache {
     /// first zero nibble), and it is always the real way: the active
     /// nibbles 0..assoc are a permutation containing `way` once, and
     /// any duplicate among the inactive high nibbles (identity values
-    /// ≥ assoc initially, shifted residue after full-set rotations in
-    /// `fill_absent`) sits strictly above every active nibble.
+    /// ≥ assoc initially, shifted residue after full-set rotations)
+    /// sits strictly above every active nibble.
     ///
     /// With the flag isolated, everything is mask algebra — no shift
     /// counts, no data-dependent branches, so the whole body vectorizes
@@ -402,7 +373,7 @@ impl SetAssocCache {
     /// nibbles above stay — recovered as
     /// `(perm & !mask) - way·unit = perm ^ below - way·unit`,
     /// because the nibble at `rank` is exactly `way`.
-    #[inline]
+    #[inline(always)]
     fn promote_word(perm: u64, way: u64) -> u64 {
         let x = perm ^ (way * NIBBLE_LSB);
         let zeros = x.wrapping_sub(NIBBLE_LSB) & !x & NIBBLE_MSB;
@@ -412,487 +383,453 @@ impl SetAssocCache {
         ((perm ^ below) - way * unit) | (below << 4) | way
     }
 
-    /// Move `way` to the MRU position of `set`'s recency order. Ways at
-    /// better (lower) ranks shift down one; ranks past it are untouched.
-    #[inline]
-    fn promote(&mut self, set: usize, way: usize) {
-        debug_assert!(set < self.sets && way < self.assoc);
-        self.materialize_set(set);
-        // SAFETY: `set` comes from masking a line address with `set_mask`
-        // (always < `sets`), and `recency` has exactly `sets` elements.
-        let perm_slot = unsafe { self.recency.get_unchecked_mut(set) };
-        *perm_slot = Self::promote_word(*perm_slot, way as u64);
+    /// A fill's choice at a set with occupancy `occ` and recency `perm`:
+    /// the first empty way, promoted; or, in a full set, the LRU way,
+    /// rotated to MRU. Promoting the last rank is a pure rotation of the
+    /// active nibbles, so the SWAR search is skipped: every rank shifts
+    /// up one nibble and the victim lands at rank 0. Nibbles at or
+    /// above `assoc` become shifted residue rather than identity values
+    /// — harmless, because the search always matches the real way at a
+    /// lower nibble than any residue duplicate.
+    #[inline(always)]
+    fn choose(&self, occ: u16, perm: u64) -> (usize, u64) {
+        if occ == self.full_mask {
+            let way = self.lru(perm);
+            (way, (perm << 4) | way as u64)
+        } else {
+            let way = (!occ & self.full_mask).trailing_zeros() as usize;
+            (way, Self::promote_word(perm, way as u64))
+        }
+    }
+
+    /// Promote `way` at the `n` sets from `set0`, all holding a line
+    /// there — the recency half of a hit, for any run of lines at one
+    /// way. Per block, each recency run the range covers is promoted
+    /// once; only a block whose runs would overflow (or are already
+    /// materialized beyond [`MAX_RUNS`]) updates per set. Lines occupy
+    /// distinct consecutive sets, so the result is exactly the per-line
+    /// promotion in any order.
+    #[inline(always)]
+    fn promote_sets(&mut self, set0: usize, n: usize, way: u64) {
+        debug_assert!((way as usize) < self.assoc && set0 + n <= self.sets);
+        let mut s = set0;
+        while s < set0 + n {
+            let len = self.chunk(s, set0 + n - s);
+            if self.blocks != 0 {
+                let (b, j) = (s >> BLOCK_SHIFT, s & (BLOCK_SETS - 1));
+                if self.has_runs(b) {
+                    // Promoting a word's MRU leaves it as it is: a re-read
+                    // of lines just filled or hit changes nothing.
+                    let rec = &mut self.blk[b].rec;
+                    if rec.pieces(j, j + len).all(|(_, _, p)| p & 0xF == way)
+                        || rec.map(j, j + len, |p| Self::promote_word(p, way))
+                    {
+                        s += len;
+                        continue;
+                    }
+                    self.materialize_recency(b);
+                }
+            }
+            for p in &mut self.recency[s..s + len] {
+                *p = Self::promote_word(*p, way);
+            }
+            if self.blocks != 0 && len == BLOCK_SETS {
+                self.rederive_runs(s >> BLOCK_SHIFT);
+            }
+            s += len;
+        }
     }
 
     /// Promote a run of consecutive lines starting at `first`, all
     /// verified resident in this cache at the way slots recorded in
-    /// `entries` (packed directory words, one per line). Consecutive
-    /// lines map to consecutive sets, so each wrap-free chunk updates a
-    /// *contiguous* slice of recency words — an elementwise, branch-free
-    /// map over two slices that the compiler can vectorize — instead of
-    /// one dependent read-modify-write per line.
-    ///
-    /// The result is bit-identical to promoting per line in order: a set
-    /// repeats only after `sets` consecutive lines, chunks end exactly at
-    /// the set wrap, and chunks are applied in line order, so each
-    /// recency word sees its promotions in the original sequence.
-    #[inline]
-    pub(crate) fn promote_run(&mut self, first: LineAddr, entries: &[u32]) {
-        let mut done = 0usize;
-        while done < entries.len() {
-            let set0 = ((first.0 + done as u64) & self.set_mask) as usize;
-            let chunk = (entries.len() - done).min(self.sets - set0);
-            self.materialize_range(set0, chunk);
-            let rec = &mut self.recency[set0..set0 + chunk];
-            let ents = &entries[done..done + chunk];
-            for (perm, &e) in rec.iter_mut().zip(ents) {
-                let way = (crate::linetab::slot_of(e) >> self.set_shift) as u64;
-                debug_assert!((way as usize) < self.assoc);
-                *perm = Self::promote_word(*perm, way);
-            }
-            done += chunk;
-        }
-    }
-
-    /// Fill a run of consecutive lines starting at `first`, all verified
-    /// absent from this cache, writing each line's packed directory word
-    /// (`packed_base | slot`, where `packed_base` carries the owner bits)
-    /// into `entries`. Returns the eviction count; the caller flushes it
-    /// into the statistics, as with [`SetAssocCache::fill_absent`].
-    /// When `V` is true, every evicted line is appended to `victims` in
-    /// eviction order — the extent summaries need the decrements, and
-    /// threading a sink through here keeps the eviction path free of
-    /// per-line calls back into the memory system. `V` is a const
-    /// parameter so the summary-off walk monomorphizes with no sink
-    /// checks on the hot path.
-    ///
-    /// The lines occupy distinct consecutive sets, and
-    /// [`SetAssocCache::fill_absent`]'s choice at a set depends only on
-    /// that set's `(occ, recency)` pair. So the run is cut into maximal
-    /// stretches of consecutive sets sharing one pair (never across the
-    /// set-array wrap), and each stretch makes its choice once:
-    ///
-    /// * full — evict the last active recency nibble and rotate it to
-    ///   MRU, dropping (after materializing) the victim way's lazy strip
-    ///   hint once per block covered;
-    /// * not full — take the lowest empty way, set it in the occupancy
-    ///   mask and promote it, counting the sets it completes.
-    ///
-    /// A stretch is then one victim copy-out plus splats of tags,
-    /// recency, occupancy and directory entries; a stretch of one set is
-    /// the per-line path. Streaming fills (sets driven through identical
-    /// histories) collapse to one stretch per wrap-free chunk, and fills
-    /// into partly diverged sets (chunk edges, refills after a
-    /// migration) cost one stretch per change of state. The per-set
-    /// sequence of way choices, tag writes and recency updates is
-    /// exactly the per-line path's.
-    #[inline]
-    pub(crate) fn fill_run<const V: bool>(
-        &mut self,
-        first: LineAddr,
-        entries: &mut [u32],
-        packed_base: u32,
-        victims: &mut Vec<u64>,
-    ) -> u64 {
-        let mut evictions = 0u64;
-        let mut done = 0usize;
-        let top_shift = 4 * (self.assoc as u32 - 1);
-        while done < entries.len() {
-            let set0 = ((first.0 + done as u64) & self.set_mask) as usize;
-            let chunk = (entries.len() - done).min(self.sets - set0);
-            self.materialize_range(set0, chunk);
-            let mut j = 0usize;
-            while j < chunk {
-                let s = set0 + j;
-                let (occ0, perm0) = (self.occ[s], self.recency[s]);
-                let n = 1 + self.occ[s + 1..set0 + chunk]
-                    .iter()
-                    .zip(&self.recency[s + 1..set0 + chunk])
-                    .take_while(|&(&o, &p)| o == occ0 && p == perm0)
-                    .count();
-                let (way, nperm) = if occ0 == self.full_mask {
-                    let way = ((perm0 >> top_shift) & 0xF) as usize;
-                    debug_assert!(way < self.assoc, "victim nibble out of range");
-                    // Materialize any lazy victim strips before their raw
-                    // tags are read out as victims, then drop the hints
-                    // the overwrite is about to break.
-                    if self.blocks != 0 {
-                        for b in (s >> BLOCK_SHIFT)..=((s + n - 1) >> BLOCK_SHIFT) {
-                            self.materialize_strip_tags(way, b);
-                            self.vstrip[way * self.blocks + b] = 0;
-                        }
-                    }
-                    if V {
-                        let base = (way << self.set_shift) | s;
-                        victims.extend_from_slice(&self.tags[base..base + n]);
-                    }
-                    evictions += n as u64;
-                    (way, (perm0 << 4) | way as u64)
-                } else {
-                    // First empty way, as the scanning walk chose it. An
-                    // empty way's strip is never lazy (lazy ⇒ fully
-                    // resident) and never hinted (every tag clear drops
-                    // the hint), so the raw tag stores below are sound.
-                    let way = (!occ0 & self.full_mask).trailing_zeros() as usize;
-                    let nocc = occ0 | (1 << way);
-                    for o in &mut self.occ[s..s + n] {
-                        *o = nocc;
-                    }
-                    if nocc == self.full_mask {
-                        for t in s..s + n {
-                            self.note_set_filled(t);
-                        }
-                    }
-                    self.resident += n as u64;
-                    (way, Self::promote_word(perm0, way as u64))
-                };
-                let base = (way << self.set_shift) | s;
-                #[cfg(debug_assertions)]
-                if occ0 != self.full_mask {
-                    for t in &self.tags[base..base + n] {
-                        debug_assert_eq!(*t, TAG_INVALID, "fill into an occupied way");
-                    }
-                }
-                let line0 = first.0 + (done + j) as u64;
-                let stores = self.tags[base..base + n]
-                    .iter_mut()
-                    .zip(&mut self.recency[s..s + n])
-                    .zip(&mut entries[done + j..done + j + n]);
-                for (k, ((t, p), e)) in stores.enumerate() {
-                    *t = line0 + k as u64;
-                    *p = nperm;
-                    *e = packed_base | (base + k) as u32;
-                }
-                j += n;
-            }
-            done += chunk;
-        }
-        evictions
-    }
-
-    /// Fill `n` wholly absent lines from `first`, inside one aligned
-    /// [`BLOCK_SETS`]-line group, through the block-grained virtual path
-    /// if the run's shape and the block's state permit. Returns `None`
-    /// when they don't — the caller falls back to the materialized
-    /// [`SetAssocCache::fill_run`]. Three shapes qualify:
-    ///
-    /// * the whole group, into a block whose recency is (or re-converges
-    ///   to) one shared word and whose occupancy is uniform;
-    /// * a prefix `[0, at)` into such a block, which splits it: the
-    ///   prefix piece takes the updated word, the rest keeps the old one
-    ///   (see [`Block`]);
-    /// * the suffix `[at, 64)` of the same group into a block split at
-    ///   `at`, which collapses it back to one piece.
-    ///
-    /// The point is what the fast arms *don't* touch: no per-set recency
-    /// traffic (one rotation of a shared word), no occupancy probe when
-    /// the block's full-set count proves every set full, and — when the
-    /// victim strip's [`SetAssocCache::vstrip`] hint is live — not a
-    /// single victim tag read or tag store. The per-set outcome is
-    /// bit-identical to [`SetAssocCache::fill_absent`] line by line:
-    /// with every set of the run full and sharing recency word `p`, each
-    /// call would pick the same victim way (`p`'s last active nibble)
-    /// and write the same rotation `(p << 4) | way`; with a uniformly
-    /// non-full run, each would pick the same first-empty way and
-    /// promote it to MRU. The suffix meets exactly the state the prefix
-    /// left above the split (nothing else touched it), so it picks the
-    /// prefix's way and reaches the prefix's word, and the strip then
-    /// holds the one group throughout.
+    /// `entries` (packed directory words, one per line): each maximal
+    /// stretch at one way is one [`SetAssocCache::promote_uniform`].
+    /// Bit-identical to promoting per line in order: the lines occupy
+    /// distinct sets, so each recency word sees its one promotion.
     #[inline(always)]
-    pub(crate) fn fill_group_virtual(
-        &mut self,
-        first: LineAddr,
-        n: usize,
-        victims: &mut Vec<u64>,
-    ) -> Option<VGroupFill> {
-        if self.blocks == 0 {
-            return None;
-        }
-        let set0 = (first.0 & self.set_mask) as usize;
-        let (b, j0) = (set0 >> BLOCK_SHIFT, set0 & (BLOCK_SETS - 1));
-        debug_assert!(n >= 1 && j0 + n <= BLOCK_SETS);
-        let group1 = (first.0 >> BLOCK_SHIFT) + 1;
-        if self.blk[b].at != 0 {
-            let sp = self.blk[b];
-            if j0 == sp.at as usize && j0 + n == BLOCK_SETS && sp.lo == group1 {
-                return Some(self.fill_suffix(b, group1, victims));
-            }
-            self.materialize_recency(b);
-        }
-        if j0 != 0 {
-            return None;
-        }
-        if !self.blk[b].virt {
-            // Re-virtualize when the block's per-set words have
-            // re-converged (first==last probe guards the full scan).
-            let p0 = self.recency[set0];
-            if self.recency[set0 + BLOCK_SETS - 1] != p0
-                || !self.recency[set0..set0 + BLOCK_SETS]
-                    .iter()
-                    .all(|&p| p == p0)
-            {
-                return None;
-            }
-            self.blk[b].perm = p0;
-            self.blk[b].virt = true;
-        }
-        let perm = self.blk[b].perm;
-        if self.blk[b].full == BLOCK_SETS as u32 {
-            debug_assert!(
-                self.occ[set0..set0 + BLOCK_SETS]
-                    .iter()
-                    .all(|&o| o == self.full_mask),
-                "full-set count out of sync with occupancy"
-            );
-            let way = ((perm >> (4 * (self.assoc - 1))) & 0xF) as usize;
-            debug_assert!(way < self.assoc, "victim nibble out of range");
-            self.blk[b].perm = (perm << 4) | way as u64;
-            let strip = way * self.blocks + b;
-            let old = self.vstrip[strip];
-            if n == BLOCK_SETS {
-                if old == 0 {
-                    // No hint ⇒ not lazy (the lazy invariant), so the raw
-                    // victim tags are authoritative.
-                    let base = (way << self.set_shift) | set0;
-                    victims.extend_from_slice(&self.tags[base..base + BLOCK_SETS]);
-                }
-                // No tag stores at all: the strip's 64 logical tags are
-                // the group iota, derived from the hint until something
-                // disturbs the strip. This is the fill path's dominant
-                // memory traffic (512 B per group) gone from the
-                // streaming steady state.
-                self.vstrip[strip] = group1;
-                self.vtag_lazy[strip] = true;
-            } else {
-                self.split(b, n, group1, perm);
-                if old != 0 {
-                    // A hinted strip (lazy, or raw iota of one group):
-                    // the victims are that group's run, and the strip's
-                    // tags become derived — the prefix group below `n`,
-                    // the hint above.
-                    self.vtag_lazy[strip] = true;
-                } else {
-                    self.store_run(way, set0, n, first.0, Some(victims));
-                }
-            }
-            Some(VGroupFill::Rotated {
-                way: way as u32,
-                old_group: old,
-            })
-        } else {
-            let occ0 = self.occ[set0];
-            if occ0 == self.full_mask
-                || self.occ[set0 + BLOCK_SETS - 1] != occ0
-                || !self.occ[set0..set0 + BLOCK_SETS].iter().all(|&o| o == occ0)
-            {
-                return None;
-            }
-            let way = (!occ0 & self.full_mask).trailing_zeros() as usize;
-            self.occupy(set0, n, way);
-            self.blk[b].perm = Self::promote_word(perm, way as u64);
-            if n == BLOCK_SETS {
-                let strip = way * self.blocks + b;
-                self.vstrip[strip] = group1;
-                self.vtag_lazy[strip] = true;
-            } else {
-                // The way is empty across the block: no hint, raw stores.
-                self.split(b, n, group1, perm);
-                self.store_run(way, set0, n, first.0, None);
-            }
-            Some(VGroupFill::Fresh { way: way as u32 })
-        }
-    }
-
-    /// The suffix `[at, 64)` of a split block's prefix group: the upper
-    /// piece meets the state the prefix met, so it picks the prefix's
-    /// way and its word re-converges with the prefix piece's.
-    #[inline(never)]
-    fn fill_suffix(&mut self, b: usize, group1: u64, victims: &mut Vec<u64>) -> VGroupFill {
-        let sp = self.blk[b];
-        self.blk[b].at = 0;
-        let (at, way) = (sp.at as usize, (sp.perm & 0xF) as usize);
-        let set0 = (b << BLOCK_SHIFT) + at;
-        let (n, line0) = (BLOCK_SETS - at, ((group1 - 1) << BLOCK_SHIFT) + at as u64);
-        let strip = way * self.blocks + b;
-        let (nperm, placed) = if self.occ[set0] == self.full_mask {
-            debug_assert_eq!(((sp.hi_perm >> (4 * (self.assoc - 1))) & 0xF) as usize, way);
-            let old = if self.vtag_lazy[strip] {
-                self.vstrip[strip]
-            } else {
-                self.store_run(way, set0, n, line0, Some(victims));
-                0
-            };
-            let placed = VGroupFill::Rotated {
-                way: way as u32,
-                old_group: old,
-            };
-            ((sp.hi_perm << 4) | way as u64, placed)
-        } else {
-            debug_assert_eq!(
-                (!self.occ[set0] & self.full_mask).trailing_zeros() as usize,
-                way
-            );
-            self.occupy(set0, n, way);
-            self.store_run(way, set0, n, line0, None);
-            (
-                Self::promote_word(sp.hi_perm, way as u64),
-                VGroupFill::Fresh { way: way as u32 },
-            )
-        };
-        debug_assert_eq!(nperm, sp.perm, "split pieces failed to re-converge");
-        // The strip now holds the one group throughout: derived (lazy)
-        // or stored (raw iota) — either way the hint is true.
-        self.vstrip[strip] = group1;
-        placed
-    }
-
-    /// Take `way` at the `n` sets from `set0`, all of which share one
-    /// non-full occupancy mask with `way` empty.
-    fn occupy(&mut self, set0: usize, n: usize, way: usize) {
-        #[cfg(debug_assertions)]
-        for t in &self.tags[self.slot(way, set0)..self.slot(way, set0) + n] {
-            debug_assert_eq!(*t, TAG_INVALID, "fill into an occupied way");
-        }
-        let nocc = self.occ[set0] | (1 << way);
-        self.occ[set0..set0 + n].fill(nocc);
-        if nocc == self.full_mask {
-            self.blk[set0 >> BLOCK_SHIFT].full += n as u32;
-        }
-        self.resident += n as u64;
-    }
-
-    /// Store lines `line0..line0 + n` raw at `way` over the `n` sets from
-    /// `set0`, first appending the displaced tags to `victims` if given.
-    fn store_run(
-        &mut self,
-        way: usize,
-        set0: usize,
-        n: usize,
-        line0: u64,
-        victims: Option<&mut Vec<u64>>,
-    ) {
-        let base = self.slot(way, set0);
-        let run = &mut self.tags[base..base + n];
-        if let Some(v) = victims {
-            v.extend_from_slice(run);
-        }
-        for (k, t) in run.iter_mut().enumerate() {
-            *t = line0 + k as u64;
+    pub(crate) fn promote_run(&mut self, first: LineAddr, entries: &[u32]) {
+        let shift = self.set_shift;
+        let way_of = |e: u32| (crate::linetab::slot_of(e) >> shift) as u64;
+        let mut i = 0usize;
+        while i < entries.len() {
+            let way = way_of(entries[i]);
+            let n = 1 + entries[i + 1..]
+                .iter()
+                .take_while(|&&e| way_of(e) == way)
+                .count();
+            self.promote_uniform(LineAddr(first.0 + i as u64), way, n);
+            i += n;
         }
     }
 
     /// Promote a run of `n` consecutive lines starting at `first`, all
     /// verified resident in this cache at the *same* way — the recency
-    /// half of the extent fast path for a wholly-owned group. Equivalent
-    /// to [`SetAssocCache::promote_run`] with every entry at `way`: the
-    /// lines occupy distinct consecutive sets, so the updates are an
-    /// elementwise map over contiguous recency words; when the words are
-    /// all equal (the replay steady state) the promotion is computed
-    /// once and splatted — and when the run is a whole block still under
-    /// its shared virtual word, the promotion is one update of that
-    /// word, with no per-set traffic at all. A run inside one piece of a
-    /// virtual block whose MRU is already `way` (the boundary line of
-    /// two chunks, re-read right after the first chunk filled it) is a
-    /// no-op: promoting the MRU leaves a recency word unchanged.
-    #[inline]
+    /// half of a local hit. Runs wrapping the set array are cut at the
+    /// wrap; each chunk goes through [`SetAssocCache::promote_sets`].
+    #[inline(always)]
     pub(crate) fn promote_uniform(&mut self, first: LineAddr, way: u64, n: usize) {
-        debug_assert!((way as usize) < self.assoc);
         let mut done = 0usize;
         while done < n {
             let set0 = ((first.0 + done as u64) & self.set_mask) as usize;
-            let chunk = (n - done).min(self.sets - set0);
-            if self.blocks != 0 {
-                let b = set0 >> BLOCK_SHIFT;
-                let (j, blk) = (set0 & (BLOCK_SETS - 1), &mut self.blk[b]);
-                if blk.virt && blk.at == 0 && chunk == BLOCK_SETS && j == 0 {
-                    // Whole aligned block, still virtual: one word.
-                    blk.perm = Self::promote_word(blk.perm, way);
-                    done += chunk;
-                    continue;
-                }
-                let (word, end) = self.piece(b, j);
-                if self.blk[b].virt && j + chunk <= end && word & 0xF == way {
-                    done += chunk;
-                    continue;
-                }
-                self.materialize_range(set0, chunk);
-            }
-            let rec = &mut self.recency[set0..set0 + chunk];
-            let perm0 = rec[0];
-            if rec.iter().all(|&p| p == perm0) {
-                let nperm = Self::promote_word(perm0, way);
-                for p in rec {
-                    *p = nperm;
-                }
-            } else {
-                for p in rec {
-                    *p = Self::promote_word(*p, way);
-                }
-            }
-            done += chunk;
+            let len = (n - done).min(self.sets - set0);
+            self.promote_sets(set0, len, way);
+            done += len;
         }
     }
 
-    /// Invalidate a run of `n` consecutive lines starting at `first`,
-    /// all verified resident in this cache at the *same* way — the
-    /// remote half of the extent cache-to-cache fast path. Identical
-    /// per-line state outcome to [`SetAssocCache::invalidate_at`]
-    /// (contiguous tag clears under the way-major layout, occupancy bit
-    /// clears, recency untouched), with the counters updated once.
-    #[inline]
-    pub(crate) fn invalidate_run(&mut self, first: LineAddr, way: u64, n: usize) {
-        debug_assert!((way as usize) < self.assoc);
-        let clear = !(1u16 << way);
+    /// Fill a run of `n` consecutive lines starting at `first`, all
+    /// verified absent from this cache, logging where they landed and
+    /// what they displaced into `log` (appended; the caller clears it).
+    /// Returns the eviction count; the caller flushes it into the
+    /// statistics.
+    ///
+    /// The lines occupy distinct consecutive sets, and
+    /// [`SetAssocCache::fill_absent`]'s choice at a set depends only on
+    /// that set's `(occ, recency)` pair. So each block's part of the run
+    /// is cut into stretches of sets sharing one pair — the block's
+    /// recency runs, cut further where occupancy changes (never, once
+    /// the block is full) — and each stretch makes its choice once
+    /// ([`SetAssocCache::choose`]). The block's recency runs are
+    /// spliced with the stretches' new words: the two runs at the fill's
+    /// ends split, and each run in between rotates with its own victim
+    /// way. Each stretch then displaces its way strip's runs (a group
+    /// run's victims are one `(group, bits)`, a raw run's are its tag
+    /// words) and sets the strip to the filled group over the stretch,
+    /// storing no tag. A block whose recency needs more than
+    /// [`MAX_RUNS`] runs takes the same stretches off its per-set words.
+    /// The per-set sequence of way choices, tags and recency words is
+    /// exactly the per-line path's.
+    #[inline(never)]
+    pub(crate) fn fill_run(&mut self, first: LineAddr, n: usize, log: &mut FillLog) -> u64 {
+        let mut evictions = 0u64;
         let mut done = 0usize;
         while done < n {
             let set0 = ((first.0 + done as u64) & self.set_mask) as usize;
-            let chunk = (n - done).min(self.sets - set0);
+            let len = self.chunk(set0, n - done);
+            let line0 = first.0 + done as u64;
+            evictions += match self.fill_block_runs(line0, set0, len, done, log) {
+                Some(ev) => ev,
+                None => {
+                    if self.blocks != 0 {
+                        self.materialize_recency(set0 >> BLOCK_SHIFT);
+                        log.per_set = true;
+                    }
+                    self.fill_sets(line0, set0, len, done, log)
+                }
+            };
+            done += len;
+        }
+        evictions
+    }
+
+    /// Fill the 64-line group at `first`, all absent from this cache,
+    /// when its block is the one-run shape: one recency run, and either
+    /// every set full with the victim way's strip one group run, or one
+    /// occupancy across the block with the first empty way's strip
+    /// empty. Then the fill is one choice for the whole block and three
+    /// word updates, with no log: returns the way and the displaced group
+    /// (`None` if the way was empty). `None`, with nothing changed, for
+    /// any other shape — [`SetAssocCache::fill_run`] serves it. The
+    /// state reached is `fill_run`'s.
+    #[inline(always)]
+    pub(crate) fn fill_block(&mut self, first: LineAddr) -> Option<(u32, Option<u64>)> {
+        let group1 = (first.0 >> BLOCK_SHIFT) + 1;
+        if self.blocks == 0 || group1 >= STRIP_EMPTY as u64 {
+            return None;
+        }
+        let s0 = (first.0 & self.set_mask) as usize;
+        debug_assert_eq!(s0 & (BLOCK_SETS - 1), 0, "group not block-aligned");
+        let b = s0 >> BLOCK_SHIFT;
+        let p = self.blk[b].rec.single()?;
+        let (way, victim) = if self.blk[b].full == BLOCK_SETS as u32 {
+            let way = self.lru(p);
+            let old = self.strips[way * self.blocks + b].single();
+            let g1 = old.filter(|&v| v != STRIP_RAW && v != STRIP_EMPTY)?;
+            self.blk[b].rec.set(0, BLOCK_SETS, (p << 4) | way as u64);
+            (way, Some(g1 as u64 - 1))
+        } else {
+            let occ = &mut self.occ[s0..s0 + BLOCK_SETS];
+            let o = occ[0];
+            if occ.iter().fold(0, |d, &x| d | (x ^ o)) != 0 {
+                return None;
+            }
+            let way = (!o & self.full_mask).trailing_zeros() as usize;
+            if self.strips[way * self.blocks + b].single() != Some(STRIP_EMPTY) {
+                return None;
+            }
+            let nocc = o | (1 << way);
+            occ.fill(nocc);
+            if nocc == self.full_mask {
+                self.blk[b].full = BLOCK_SETS as u32;
+            }
+            self.resident += BLOCK_SETS as u64;
+            self.blk[b]
+                .rec
+                .set(0, BLOCK_SETS, Self::promote_word(p, way as u64));
+            (way, None)
+        };
+        self.strips[way * self.blocks + b].set(0, BLOCK_SETS, group1 as u32);
+        Some((way as u32, victim))
+    }
+
+    /// The run path of [`SetAssocCache::fill_run`] for `n` sets from
+    /// `set0` inside one block; `None`, with nothing changed, when the
+    /// geometry has no blocks or the block's recency would need more
+    /// than [`MAX_RUNS`] runs.
+    #[inline(always)]
+    fn fill_block_runs(
+        &mut self,
+        line0: u64,
+        set0: usize,
+        n: usize,
+        off: usize,
+        log: &mut FillLog,
+    ) -> Option<u64> {
+        if self.blocks == 0 {
+            return None;
+        }
+        let (b, j0) = (set0 >> BLOCK_SHIFT, set0 & (BLOCK_SETS - 1));
+        let s0 = set0 - j0;
+        if !self.has_runs(b) {
+            return None;
+        }
+        if self.blk[b].full == BLOCK_SETS as u32 {
+            debug_assert!(
+                self.occ[set0..set0 + n]
+                    .iter()
+                    .all(|&o| o == self.full_mask),
+                "full-set count out of sync with occupancy"
+            );
+            // Every set full: each run is one stretch, rotating with its
+            // own victim way, which is then the run's MRU nibble.
+            let top = 4 * (self.assoc as u32 - 1);
+            let rotate = |p: u64| (p << 4) | ((p >> top) & 0xF);
+            if !self.blk[b].rec.map(j0, j0 + n, rotate) {
+                return None;
+            }
+            let mut evictions = 0u64;
+            let mut s = j0;
+            while s < j0 + n {
+                let (e, p) = self.blk[b].rec.run_at(s);
+                let e = e.min(j0 + n);
+                let (way, o) = ((p & 0xF) as usize, self.full_mask);
+                let (line, at) = (line0 + (s - j0) as u64, off + s - j0);
+                evictions += self.place(way, s0 + s, e - s, o, line, at, log);
+                s = e;
+            }
+            return Some(evictions);
+        }
+        let rec = self.blk[b].rec;
+        // (first set offset, way, new word, occupancy before) per stretch.
+        let mut st = [(0usize, 0usize, 0u64, 0u16); MAX_RUNS];
+        let mut k = 0usize;
+        for (s, e, p) in rec.pieces(j0, j0 + n) {
+            let mut j = s;
+            while j < e {
+                let o = self.occ[s0 + j];
+                let end = j + 1 + same_prefix(&self.occ[s0 + j + 1..s0 + e], o);
+                if k == MAX_RUNS {
+                    return None;
+                }
+                let (way, np) = self.choose(o, p);
+                st[k] = (j, way, np, o);
+                k += 1;
+                j = end;
+            }
+        }
+        let mid = st[..k].iter().map(|&(j, _, np, _)| (j, np));
+        if !self.blk[b].rec.assign(j0, j0 + n, mid) {
+            return None;
+        }
+        let mut evictions = 0u64;
+        for i in 0..k {
+            let (j, way, _, o) = st[i];
+            let end = if i + 1 < k { st[i + 1].0 } else { j0 + n };
+            evictions += self.place(
+                way,
+                s0 + j,
+                end - j,
+                o,
+                line0 + (j - j0) as u64,
+                off + j - j0,
+                log,
+            );
+        }
+        Some(evictions)
+    }
+
+    /// The per-set path of [`SetAssocCache::fill_run`]: `n` sets from
+    /// `set0` (wrap-free, inside one block when there are blocks) cut
+    /// into maximal stretches of equal per-set `(occ, recency)`.
+    fn fill_sets(
+        &mut self,
+        line0: u64,
+        set0: usize,
+        n: usize,
+        off: usize,
+        log: &mut FillLog,
+    ) -> u64 {
+        let mut evictions = 0u64;
+        let mut j = 0usize;
+        while j < n {
+            let s = set0 + j;
+            let (o, p) = (self.occ[s], self.recency[s]);
+            let len = 1 + self.occ[s + 1..set0 + n]
+                .iter()
+                .zip(&self.recency[s + 1..set0 + n])
+                .take_while(|&(&x, &q)| x == o && q == p)
+                .count();
+            let (way, np) = self.choose(o, p);
+            self.recency[s..s + len].fill(np);
+            evictions += self.place(way, s, len, o, line0 + j as u64, off + j, log);
+            j += len;
+        }
+        evictions
+    }
+
+    /// Put lines `line0..line0 + n` at `way` over the `n` sets from `s`
+    /// (one block), whose occupancy was `occ`: displace the way's lines
+    /// into `log` if the sets were full, else take the empty way; then
+    /// record the lines in the way's strip. Returns the evictions.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn place(
+        &mut self,
+        way: usize,
+        s: usize,
+        n: usize,
+        occ: u16,
+        line0: u64,
+        off: usize,
+        log: &mut FillLog,
+    ) -> u64 {
+        let evictions = if occ == self.full_mask {
+            self.displace(way, s, n, log);
+            n as u64
+        } else {
+            debug_assert!(
+                (0..n).all(|k| self.tag_at(self.slot(way, s + k) as u32) == TAG_INVALID),
+                "fill into an occupied way"
+            );
+            let nocc = occ | (1 << way);
+            self.occ[s..s + n].fill(nocc);
+            if nocc == self.full_mask && self.blocks != 0 {
+                self.blk[s >> BLOCK_SHIFT].full += n as u32;
+            }
+            self.resident += n as u64;
+            0
+        };
+        // A block on its runs records the lines as a group run; a
+        // materialized block (its recency past eight runs, so its fills
+        // come in many small stretches) stores them raw, as does a
+        // geometry without blocks.
+        let (b, group1) = (s >> BLOCK_SHIFT, (line0 >> BLOCK_SHIFT) + 1);
+        if self.blocks != 0 && group1 < STRIP_EMPTY as u64 && !self.blk[b].rec.is_empty() {
+            let j = s & (BLOCK_SETS - 1);
+            self.set_strip(way, b, j, j + n, group1 as u32);
+        } else {
             if self.blocks != 0 {
-                for b in (set0 >> BLOCK_SHIFT)..=((set0 + chunk - 1) >> BLOCK_SHIFT) {
-                    self.materialize_strip_tags(way as usize, b);
-                }
+                self.materialize_strip(way, b);
             }
-            let base = ((way as usize) << self.set_shift) | set0;
-            for (j, t) in self.tags[base..base + chunk].iter_mut().enumerate() {
-                debug_assert_eq!(
-                    *t,
-                    first.0 + (done + j) as u64,
-                    "summary pointed at a stale way"
-                );
-                *t = TAG_INVALID;
+            let base = self.slot(way, s);
+            for (k, t) in self.tags[base..base + n].iter_mut().enumerate() {
+                *t = line0 + k as u64;
             }
-            // Per block: count the full sets about to lose a line and
-            // drop the whole-strip hints the tag clears just broke.
-            let mut s = set0;
-            let send = set0 + chunk;
-            while s < send {
-                let sub = if self.blocks != 0 {
-                    send.min(((s >> BLOCK_SHIFT) + 1) << BLOCK_SHIFT)
-                } else {
-                    send
-                };
-                let mut lost = 0u32;
-                for o in &mut self.occ[s..sub] {
-                    lost += (*o == self.full_mask) as u32;
-                    *o &= clear;
-                }
-                if self.blocks != 0 {
-                    let b = s >> BLOCK_SHIFT;
-                    self.blk[b].full -= lost;
-                    self.vstrip[(way as usize) * self.blocks + b] = 0;
-                }
-                s = sub;
+        }
+        if log.placed.last().map(|&(_, w)| w) != Some(way as u32) {
+            log.placed.push((off as u32, way as u32));
+        }
+        evictions
+    }
+
+    /// Append the lines of `way` at the `n` full sets from `s` (one
+    /// block) to `log`'s victims: one `(group, bits)` per group run of
+    /// the strip, the raw tag words of a raw run.
+    #[inline(always)]
+    fn displace(&mut self, way: usize, s: usize, n: usize, log: &mut FillLog) {
+        let base = self.slot(way, s);
+        if self.blocks == 0 {
+            log.victims.extend_from_slice(&self.tags[base..base + n]);
+            return;
+        }
+        let (b, j) = (s >> BLOCK_SHIFT, s & (BLOCK_SETS - 1));
+        for (a, e, v) in self.strips[way * self.blocks + b].pieces(j, j + n) {
+            match v {
+                STRIP_RAW => log
+                    .victims
+                    .extend_from_slice(&self.tags[base + a - j..base + e - j]),
+                STRIP_EMPTY => debug_assert!(false, "empty way in a full set"),
+                g1 => log.victim_groups.push((g1 as u64 - 1, bits(a, e - a))),
             }
-            done += chunk;
+        }
+    }
+
+    /// Invalidate `n` lines at `way` over the sets from `set0` (wrap-
+    /// free), all resident there: per block, the strip's runs over the
+    /// range become one empty run; occupancy bits clear and the full
+    /// counts drop. Recency is untouched — a non-resident way can never
+    /// be chosen as a victim (victims only exist in full sets) and a
+    /// refill promotes it to MRU anyway.
+    fn invalidate_sets(&mut self, set0: usize, n: usize, way: usize) {
+        let clear = !(1u16 << way);
+        let mut s = set0;
+        while s < set0 + n {
+            let len = self.chunk(s, set0 + n - s);
+            if self.blocks != 0 {
+                let (b, j) = (s >> BLOCK_SHIFT, s & (BLOCK_SETS - 1));
+                self.set_strip(way, b, j, j + len, STRIP_EMPTY);
+            } else {
+                let base = self.slot(way, s);
+                self.tags[base..base + len].fill(TAG_INVALID);
+            }
+            let mut lost = 0u32;
+            for o in &mut self.occ[s..s + len] {
+                lost += (*o == self.full_mask) as u32;
+                *o &= clear;
+            }
+            if self.blocks != 0 {
+                self.blk[s >> BLOCK_SHIFT].full -= lost;
+            }
+            s += len;
         }
         self.resident -= n as u64;
         self.stats.invalidations.add(n as u64);
     }
 
+    /// Invalidate a run of `n` consecutive lines starting at `first`,
+    /// all verified resident in this cache at the *same* way — the
+    /// remote half of a cache-to-cache migration. Identical per-line
+    /// state outcome to [`SetAssocCache::invalidate_at`] line by line,
+    /// with the counters updated once.
+    #[inline(always)]
+    pub(crate) fn invalidate_run(&mut self, first: LineAddr, way: u64, n: usize) {
+        debug_assert!((way as usize) < self.assoc);
+        debug_assert!(
+            (0..n as u64).all(|k| {
+                let set = ((first.0 + k) & self.set_mask) as usize;
+                self.tag_at(self.slot(way as usize, set) as u32) == first.0 + k
+            }),
+            "summary pointed at a stale way"
+        );
+        let mut done = 0usize;
+        while done < n {
+            let set0 = ((first.0 + done as u64) & self.set_mask) as usize;
+            let len = (n - done).min(self.sets - set0);
+            self.invalidate_sets(set0, len, way as usize);
+            done += len;
+        }
+    }
+
     /// Is the line resident? Does not update recency or stats.
     pub fn contains(&self, line: LineAddr) -> bool {
+        self.way_of(line).is_some()
+    }
+
+    /// The way holding `line`, if resident.
+    #[inline]
+    fn way_of(&self, line: LineAddr) -> Option<usize> {
         let set = (line.0 & self.set_mask) as usize;
-        (0..self.assoc).any(|way| self.logical_tag(way, set) == line.0)
+        (0..self.assoc).find(|&way| self.tag_at(self.slot(way, set) as u32) == line.0)
     }
 
     /// Look up a line as an access: updates recency and hit/miss
@@ -901,16 +838,17 @@ impl SetAssocCache {
     /// lives above).
     pub fn access(&mut self, line: LineAddr) -> bool {
         self.stats.accesses.inc();
-        let set = (line.0 & self.set_mask) as usize;
-        for way in 0..self.assoc {
-            if self.logical_tag(way, set) == line.0 {
-                self.promote(set, way);
+        match self.way_of(line) {
+            Some(way) => {
+                self.promote_sets((line.0 & self.set_mask) as usize, 1, way as u64);
                 self.stats.hits.inc();
-                return true;
+                true
+            }
+            None => {
+                self.stats.misses.inc();
+                false
             }
         }
-        self.stats.misses.inc();
-        false
     }
 
     /// Insert a line (fill after a miss or a write-allocate). Returns the
@@ -927,12 +865,9 @@ impl SetAssocCache {
     /// way, else the least-recently-used way.
     pub(crate) fn insert_tracked(&mut self, line: LineAddr) -> (u32, Option<LineAddr>) {
         let set = (line.0 & self.set_mask) as usize;
-        for way in 0..self.assoc {
-            // Already present → refresh.
-            if self.logical_tag(way, set) == line.0 {
-                self.promote(set, way);
-                return (self.slot(way, set) as u32, None);
-            }
+        if let Some(way) = self.way_of(line) {
+            self.promote_sets(set, 1, way as u64);
+            return (self.slot(way, set) as u32, None);
         }
         let placed = self.fill_absent(line);
         if placed.1.is_some() {
@@ -942,127 +877,61 @@ impl SetAssocCache {
     }
 
     /// Place a line known to be absent from this cache: first empty way
-    /// of its set, else evict the least-recently-used way. The fast twin
-    /// of [`SetAssocCache::insert_tracked`] for callers that have already
-    /// proven absence through the ownership directory — it skips the
-    /// tag-match scan entirely. The way choice and recency update are
-    /// identical to what `insert_tracked` would have done (its
-    /// present→refresh arm is unreachable for an absent line). Does
-    /// **not** count the eviction; the caller accounts evictions itself,
-    /// so batched walks keep the counter in a register.
-    #[inline]
+    /// of its set, else evict the least-recently-used way — a one-line
+    /// [`SetAssocCache::fill_run`]. Returns the line's slot and the
+    /// evicted line. Does **not** count the eviction; the caller
+    /// accounts evictions itself.
+    #[inline(always)]
     pub(crate) fn fill_absent(&mut self, line: LineAddr) -> (u32, Option<LineAddr>) {
         let set = (line.0 & self.set_mask) as usize;
-        self.materialize_set(set);
-        // SAFETY: `set` is masked to `< sets`; `occ` and `recency` have
-        // `sets` elements, and every slot `(way << set_shift) | set` with
-        // `way < assoc` is within `tags` (length `sets × assoc`). The
-        // victim way below is the last *active* nibble of the recency
-        // permutation, which is maintained as a permutation of
-        // `0..assoc`, so it is `< assoc` (pinned by the debug asserts).
-        let occ = unsafe { *self.occ.get_unchecked(set) };
-        if occ != self.full_mask {
-            // First empty way: lowest clear bit of the occupancy mask —
-            // the same way the scanning walk would have chosen. The way
-            // is empty at this set, so its strip cannot be lazy (lazy ⇒
-            // fully resident) and the raw tag store below is sound.
-            let way = (!occ & self.full_mask).trailing_zeros() as usize;
-            debug_assert!(
-                self.blocks == 0 || !self.vtag_lazy[way * self.blocks + (set >> BLOCK_SHIFT)],
-                "empty way inside a lazy strip"
-            );
-            let i = self.slot(way, set);
-            unsafe {
-                *self.tags.get_unchecked_mut(i) = line.0;
-                *self.occ.get_unchecked_mut(set) = occ | (1 << way);
-            }
-            if occ | (1 << way) == self.full_mask {
-                self.note_set_filled(set);
-            }
-            self.resident += 1;
-            self.promote(set, way);
-            return (i as u32, None);
-        }
-        // Full set: evict the LRU way — the last active nibble of the
-        // recency word — and promote it to MRU holding the new line.
-        // Promoting the last rank is a pure rotation of the active
-        // nibbles, so the SWAR search is skipped: shift every rank up one
-        // nibble and append the victim at rank 0. Nibbles at or above
-        // `assoc` become shifted permutation residue rather than identity
-        // values — harmless, because the SWAR search always matches the
-        // real way at a lower nibble than any residue duplicate.
-        let perm = unsafe { *self.recency.get_unchecked(set) };
-        let way = ((perm >> (4 * (self.assoc - 1))) & 0xF) as usize;
-        debug_assert!(way < self.assoc, "victim nibble out of range");
-        self.clear_strip_hint(way, set);
-        let i = self.slot(way, set);
-        unsafe {
-            let tag = self.tags.get_unchecked_mut(i);
-            let evicted = LineAddr(*tag);
-            *tag = line.0;
-            *self.recency.get_unchecked_mut(set) = (perm << 4) | way as u64;
-            (i as u32, Some(evicted))
-        }
+        let mut log = std::mem::take(&mut self.scratch);
+        log.clear();
+        self.fill_run(line, 1, &mut log);
+        let slot = self.slot(log.placed[0].1 as usize, set) as u32;
+        let evicted = match (log.victims.first(), log.victim_groups.first()) {
+            (Some(&v), _) => Some(LineAddr(v)),
+            (None, Some(&(g, _))) => Some(LineAddr((g << BLOCK_SHIFT) | (line.0 & 63))),
+            (None, None) => None,
+        };
+        self.scratch = log;
+        (slot, evicted)
     }
 
     /// Invalidate the line at a known way slot: the O(1) twin of
-    /// [`SetAssocCache::invalidate`] for directory-located lines. The
-    /// way's recency rank is left alone — a non-resident way can never be
-    /// chosen as a victim (victims only exist in full sets) and a refill
-    /// promotes it to MRU anyway.
+    /// [`SetAssocCache::invalidate`] for directory-located lines.
     #[inline]
     pub(crate) fn invalidate_at(&mut self, slot: u32, line: LineAddr) {
-        let i = slot as usize;
-        let set = (line.0 & self.set_mask) as usize;
-        let way = i >> self.set_shift;
-        // Before the tag is read or cleared: a lazy strip's raw word is
-        // stale until materialized.
-        self.clear_strip_hint(way, set);
         debug_assert_eq!(
-            self.tags[i], line.0,
+            self.tag_at(slot),
+            line.0,
             "directory slot does not hold the line"
         );
-        // SAFETY: the debug assert above pinned `i` to a slot holding
-        // `line`, so it is in bounds; `set` is masked to `< sets`.
-        unsafe {
-            if *self.occ.get_unchecked(set) == self.full_mask {
-                self.note_set_unfilled(set);
-            }
-            *self.tags.get_unchecked_mut(i) = TAG_INVALID;
-            *self.occ.get_unchecked_mut(set) &= !(1 << way);
-        }
-        self.resident -= 1;
-        self.stats.invalidations.inc();
+        let set = (line.0 & self.set_mask) as usize;
+        self.invalidate_sets(set, 1, slot as usize >> self.set_shift);
     }
 
-    /// The tag resident at a global way slot (`TAG_INVALID` if empty).
-    /// This is the ground truth the lazily-invalidated directory checks
-    /// against: an entry `(owner, slot)` is live iff the owner's
-    /// `tag_at(slot)` still equals the line.
-    #[inline]
+    /// The tag resident at a global way slot (`TAG_INVALID` if empty):
+    /// the strip's group run derives it, an empty run has none, and a
+    /// raw run reads the tag word. This is the ground truth the
+    /// lazily-invalidated directory checks against: an entry `(owner,
+    /// slot)` is live iff the owner's `tag_at(slot)` still equals the
+    /// line.
+    #[inline(always)]
     pub(crate) fn tag_at(&self, slot: u32) -> u64 {
         debug_assert!((slot as usize) < self.tags.len());
         let i = slot as usize;
         // SAFETY (all `get_unchecked` calls): directory entries are only
         // ever written as `pack(core, slot)` with a slot of this
         // geometry, and every cache in a system has the same geometry —
-        // so a recorded slot (even a stale one) is always within `tags`,
-        // its block within `blk`, and its `(way, block)` strip index
-        // within `vtag_lazy`/`vstrip`.
+        // so a recorded slot (even a stale one) is within `tags`, and
+        // its `(way, block)` strip index within `strips`.
         if self.blocks != 0 {
             let (way, set) = (i >> self.set_shift, i & (self.sets - 1));
             let (b, j) = (set >> BLOCK_SHIFT, set & (BLOCK_SETS - 1));
-            let strip = way * self.blocks + b;
-            if unsafe { *self.vtag_lazy.get_unchecked(strip) } {
-                // Derived: the split strip's prefix group below the split
-                // point, else the hinted group.
-                let blk = unsafe { self.blk.get_unchecked(b) };
-                let group1 = if j < blk.at as usize && way as u64 == blk.perm & 0xF {
-                    blk.lo
-                } else {
-                    unsafe { *self.vstrip.get_unchecked(strip) }
-                };
-                return ((group1 - 1) << BLOCK_SHIFT) | j as u64;
+            match unsafe { self.strips.get_unchecked(way * self.blocks + b) }.get(j) {
+                STRIP_RAW => {}
+                STRIP_EMPTY => return TAG_INVALID,
+                g1 => return ((g1 as u64 - 1) << BLOCK_SHIFT) | j as u64,
             }
         }
         unsafe { *self.tags.get_unchecked(i) }
@@ -1071,22 +940,11 @@ impl SetAssocCache {
     /// Remove a line (external invalidation). Returns whether it was
     /// resident.
     pub fn invalidate(&mut self, line: LineAddr) -> bool {
-        let set = (line.0 & self.set_mask) as usize;
-        for way in 0..self.assoc {
-            if self.logical_tag(way, set) == line.0 {
-                self.clear_strip_hint(way, set);
-                let i = self.slot(way, set);
-                if self.occ[set] == self.full_mask {
-                    self.note_set_unfilled(set);
-                }
-                self.tags[i] = TAG_INVALID;
-                self.occ[set] &= !(1 << way);
-                self.resident -= 1;
-                self.stats.invalidations.inc();
-                return true;
-            }
-        }
-        false
+        let Some(way) = self.way_of(line) else {
+            return false;
+        };
+        self.invalidate_sets((line.0 & self.set_mask) as usize, 1, way);
+        true
     }
 
     /// Bulk-update hooks for [`crate::MemorySystem::touch`]'s batched
@@ -1122,13 +980,26 @@ impl SetAssocCache {
         self.stats.hits.add(n);
     }
 
-    /// Verify the block-grained derived state against the ground truth
-    /// (tags and occupancy): the full-set count equals the census of full
-    /// sets, every live `vstrip` hint's strip holds exactly the claimed
-    /// group's lines, and a split block keeps the split encoding (see
-    /// [`Block`]). O(sets × assoc); invariant checks
-    /// only.
+    /// Verify the block-grained state against the ground truth
+    /// (occupancy and, under raw runs, tags): every run list is a valid
+    /// encoding (sorted, no equal neighbours, at most [`MAX_RUNS`]
+    /// runs); each recency word, run or per-set, has a permutation of
+    /// the ways in its active nibbles; the full-set count equals the
+    /// census of full sets; and each strip run's derived content agrees
+    /// with occupancy — a group or raw-valid run only where the way is
+    /// resident, an empty or raw-invalid run only where it is not.
+    /// O(sets × assoc); invariant checks only.
     pub(crate) fn check_block_invariants(&self) {
+        let perm_ok = |p: u64| {
+            let seen = (0..self.assoc).fold(0u32, |m, r| m | 1 << ((p >> (4 * r)) & 0xF));
+            seen == (1u32 << self.assoc) - 1
+        };
+        for s in 0..self.sets {
+            assert!(
+                perm_ok(self.recency_of(s)),
+                "set {s}: recency not a permutation"
+            );
+        }
         for b in 0..self.blocks {
             let s0 = b << BLOCK_SHIFT;
             let full = self.occ[s0..s0 + BLOCK_SETS]
@@ -1139,56 +1010,23 @@ impl SetAssocCache {
                 self.blk[b].full, full,
                 "block {b}: full-set count != full-set census"
             );
-            let sp = self.blk[b];
-            if sp.at != 0 {
-                let (at, way) = (sp.at as usize, (sp.perm & 0xF) as usize);
-                assert!(sp.virt, "split block {b} not virtual");
-                assert!(at < BLOCK_SETS && way < self.assoc && sp.lo != 0);
-                for (j, &o) in self.occ[s0..s0 + BLOCK_SETS].iter().enumerate() {
-                    let piece0 = if j < at { s0 } else { s0 + at };
-                    assert_eq!(
-                        o, self.occ[piece0],
-                        "block {b}: piece occupancy not uniform"
-                    );
-                    assert!(
-                        j >= at || o & (1 << way) != 0,
-                        "block {b}: prefix not resident"
-                    );
-                }
-                let strip = way * self.blocks + b;
-                if !self.vtag_lazy[strip] {
-                    assert_eq!(self.vstrip[strip], 0, "raw split strip (block {b}) hinted");
-                    let base = (way << self.set_shift) | s0;
-                    for j in 0..at {
-                        assert_eq!(self.tags[base + j], ((sp.lo - 1) << BLOCK_SHIFT) + j as u64);
-                    }
-                }
+            let rec = self.blk[b].rec;
+            if !rec.is_empty() {
+                rec.check(&format!("block {b} recency"));
             }
             for way in 0..self.assoc {
-                let strip = way * self.blocks + b;
-                let claim = self.vstrip[strip];
-                if self.vtag_lazy[strip] {
-                    // Lazy tags: the hint must be live and the strip
-                    // fully resident (every disturbance materializes
-                    // before mutating), and the raw words are stale by
-                    // design — the logical content is the derived iota.
-                    assert_ne!(claim, 0, "lazy strip (way {way}, block {b}) without a hint");
-                    for j in 0..BLOCK_SETS {
-                        assert_ne!(
-                            self.occ[s0 + j] & (1 << way),
-                            0,
-                            "lazy strip (way {way}, block {b}) not resident at set {j}"
-                        );
-                    }
-                } else if claim != 0 {
-                    let first = (claim - 1) << BLOCK_SHIFT;
-                    let base = (way << self.set_shift) | s0;
-                    for j in 0..BLOCK_SETS {
-                        assert_eq!(
-                            self.tags[base + j],
-                            first + j as u64,
-                            "strip (way {way}, block {b}) hint stale at set {j}"
-                        );
+                let runs = self.strips[way * self.blocks + b];
+                runs.check(&format!("strip (way {way}, block {b})"));
+                for (s, e, v) in runs.pieces(0, BLOCK_SETS) {
+                    for j in s..e {
+                        let held = self.occ[s0 + j] & (1 << way) != 0;
+                        let raw = self.tags[self.slot(way, s0 + j)];
+                        let ok = match v {
+                            STRIP_RAW => held == (raw != TAG_INVALID),
+                            STRIP_EMPTY => !held,
+                            _ => held,
+                        };
+                        assert!(ok, "strip (way {way}, block {b}) run {v:#x} disagrees with occupancy at set {j}");
                     }
                 }
             }
@@ -1215,262 +1053,261 @@ mod tests {
         LineAddr(n)
     }
 
-    /// Way holding `line`, if resident.
-    fn way_of(c: &SetAssocCache, line: u64) -> Option<usize> {
-        let set = (line & c.set_mask) as usize;
-        (0..c.assoc).find(|&w| c.logical_tag(w, set) == line)
-    }
-
-    /// Apply one random state-building op: `kind` picks a ranged insert,
-    /// a virtual fill (a whole group, or a group's prefix then — for odd
-    /// `len` — its suffix, splitting and collapsing the block), an
-    /// invalidation or a promotion over `[start, start + len)`.
-    /// Invalidations and promotions take the batched same-way path when
-    /// every line of a short range sits at one way, so lazy strips and
-    /// split blocks get both kept and disturbed.
-    fn apply_op(c: &mut SetAssocCache, kind: u8, start: u64, len: u64) {
-        match kind {
-            0 => {
-                for l in start..start + len {
-                    c.insert(LineAddr(l));
-                }
-            }
-            1 => {
-                let g = start & !(BLOCK_SETS as u64 - 1);
-                let at = (start - g) as usize;
-                let runs: &[(usize, usize)] = match (at, len % 2) {
-                    (0, _) => &[(0, BLOCK_SETS)],
-                    (_, 0) => &[(0, at)],
-                    _ => &[(0, at), (at, BLOCK_SETS - at)],
-                };
-                for &(j, n) in runs {
-                    let first = g + j as u64;
-                    if (first..first + n as u64).all(|l| way_of(c, l).is_none()) {
-                        let mut sink = Vec::new();
-                        if c.fill_group_virtual(LineAddr(first), n, &mut sink)
-                            .is_none()
-                        {
-                            c.fill_run::<true>(LineAddr(first), &mut vec![0u32; n], 0, &mut sink);
-                        }
-                    }
-                }
-            }
-            _ => {
-                let len = len.min(64);
-                let ways: Vec<Option<usize>> = (start..start + len).map(|l| way_of(c, l)).collect();
-                match ways[0] {
-                    Some(w) if ways.iter().all(|&x| x == Some(w)) => {
-                        if kind == 2 {
-                            c.invalidate_run(LineAddr(start), w as u64, len as usize);
-                        } else {
-                            c.promote_uniform(LineAddr(start), w as u64, len as usize);
-                        }
-                    }
-                    _ => {
-                        for l in start..start + len {
-                            if kind == 2 {
-                                c.invalidate(LineAddr(l));
-                            } else {
-                                c.access(LineAddr(l));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Everything a fill can change, read logically: tags through lazy
-    /// strips, recency through virtual blocks.
-    #[derive(PartialEq)]
-    struct LogicalState {
+    /// The per-line oracle: one recency word, occupancy mask and tag per
+    /// (set, way), updated one line at a time with the cache's own
+    /// formulas — first empty way or LRU rotation on a fill, nibble
+    /// promotion on a hit — and no block-grained state at all.
+    #[derive(Clone)]
+    struct PerLine {
         tags: Vec<u64>,
         occ: Vec<u16>,
         recency: Vec<u64>,
-        full_count: Vec<u32>,
-        vstrip: Vec<u64>,
-        resident: u64,
+        assoc: usize,
+        sets: usize,
     }
 
-    fn logical_state(c: &SetAssocCache) -> LogicalState {
-        LogicalState {
-            tags: (0..c.assoc)
-                .flat_map(|w| (0..c.sets).map(move |s| (w, s)))
-                .map(|(w, s)| c.logical_tag(w, s))
-                .collect(),
-            occ: c.occ.to_vec(),
-            recency: (0..c.sets)
-                .map(|s| {
-                    let b = s >> BLOCK_SHIFT;
-                    if c.blocks != 0 && c.blk[b].virt {
-                        c.piece(b, s & (BLOCK_SETS - 1)).0
-                    } else {
-                        c.recency[s]
-                    }
-                })
-                .collect(),
-            full_count: c.blk.iter().map(|b| b.full).collect(),
-            vstrip: c.vstrip.to_vec(),
-            resident: c.resident,
-        }
-    }
-
-    proptest! {
-        /// The run-length batched fill is exactly the per-line fill: from
-        /// random states mixing ranged inserts, virtual (lazy) groups,
-        /// holes and promotions, a fill run that crosses block boundaries
-        /// and the set-array wrap leaves the same logical tags, occupancy,
-        /// recency, full-set counts, strip hints and residency, evicts
-        /// the same victims in the same order and writes the same
-        /// directory entries as `fill_absent` line by line.
-        #[test]
-        fn fill_run_matches_per_line_fills(
-            sets in prop_oneof![Just(32usize), Just(64usize), Just(128usize), Just(256usize)],
-            assoc in 1usize..9,
-            groups in proptest::collection::vec(0u64..64, 0..24),
-            ops in proptest::collection::vec((0u8..4, 0u64..4096, 1u64..160), 0..48),
-            run_start in 0u64..256,
-            run_len in 1usize..400,
-            packed_base in 0u32..8
-        ) {
-            let mut c = SetAssocCache::new(sets, assoc);
-            // Seed lazy strips first, then churn them.
-            for &g in &groups {
-                apply_op(&mut c, 1, g * BLOCK_SETS as u64, 1);
-            }
-            for &(kind, start, len) in &ops {
-                apply_op(&mut c, kind, start, len);
-            }
-            c.check_block_invariants();
-            let mut per_line = c.clone();
-            // Far above every op's lines, so the whole run is absent.
-            let first = LineAddr((1 << 20) + run_start % sets as u64);
-            let packed_base = packed_base << 24;
-            let mut entries = vec![0u32; run_len];
-            let mut victims = Vec::new();
-            let evictions = c.fill_run::<true>(first, &mut entries, packed_base, &mut victims);
-            let mut want_entries = Vec::with_capacity(run_len);
-            let mut want_victims = Vec::new();
-            for j in 0..run_len as u64 {
-                let (slot, ev) = per_line.fill_absent(LineAddr(first.0 + j));
-                want_entries.push(packed_base | slot);
-                want_victims.extend(ev.map(|v| v.0));
-            }
-            c.check_block_invariants();
-            prop_assert!(!victims.contains(&TAG_INVALID), "evicted an empty way");
-            prop_assert_eq!(evictions, want_victims.len() as u64);
-            prop_assert_eq!(&victims, &want_victims);
-            prop_assert_eq!(&entries, &want_entries);
-            prop_assert!(logical_state(&c) == logical_state(&per_line), "cache state diverged");
-        }
-    }
-
-    proptest! {
-        /// The virtual fills — a whole group, a prefix that splits its
-        /// block, the suffix that collapses it — are exactly the per-line
-        /// fill wherever they engage: same logical tags, occupancy,
-        /// recency, full-set counts and residency, and the same victims
-        /// (a hinted strip's, read off its hint). The prefix/suffix pair
-        /// then leaves the block one piece again.
-        #[test]
-        fn virtual_fills_match_per_line_fills(
-            sets in prop_oneof![Just(64usize), Just(128usize)],
-            assoc in 1usize..9,
-            ops in proptest::collection::vec((0u8..4, 0u64..4096, 1u64..160), 0..48),
-            group in 0u64..2,
-            at in 0usize..64
-        ) {
-            let mut c = SetAssocCache::new(sets, assoc);
-            for &(kind, start, len) in &ops {
-                apply_op(&mut c, kind, start, len);
-            }
-            let g = (1 << 14) + group;
-            let runs = if at == 0 { vec![(0, BLOCK_SETS)] } else { vec![(0, at), (at, BLOCK_SETS - at)] };
-            for (j, n) in runs {
-                let first = LineAddr((g << BLOCK_SHIFT) + j as u64);
-                let mut per_line = c.clone();
-                let mut victims = Vec::new();
-                let placed = c.fill_group_virtual(first, n, &mut victims);
-                let mut want_victims = Vec::new();
-                for k in 0..n as u64 {
-                    want_victims.extend(per_line.fill_absent(LineAddr(first.0 + k)).1.map(|v| v.0));
-                }
-                c.check_block_invariants();
-                let Some(placed) = placed else {
-                    // Declined: the caller's `fill_run` takes over.
-                    c.fill_run::<true>(first, &mut vec![0u32; n], 0, &mut victims);
-                    continue;
-                };
-                if let VGroupFill::Rotated { old_group, .. } = placed {
-                    if old_group != 0 {
-                        prop_assert!(victims.is_empty());
-                        let old = (old_group - 1) << BLOCK_SHIFT;
-                        victims.extend((j..j + n).map(|k| old + k as u64));
-                    }
-                } else {
-                    prop_assert!(victims.is_empty());
-                }
-                prop_assert_eq!(&victims, &want_victims);
-                let (a, b) = (logical_state(&c), logical_state(&per_line));
-                prop_assert!(a.tags == b.tags && a.occ == b.occ && a.recency == b.recency, "cache state diverged");
-                prop_assert!(a.full_count == b.full_count && a.resident == b.resident);
-                if j != 0 {
-                    prop_assert_eq!(c.blk[(first.0 as usize & (sets - 1)) >> BLOCK_SHIFT].at, 0, "suffix left the block split");
-                }
+    impl PerLine {
+        fn new(sets: usize, assoc: usize) -> Self {
+            PerLine {
+                tags: vec![TAG_INVALID; sets * assoc],
+                occ: vec![0; sets],
+                recency: vec![PERM_IDENTITY; sets],
+                assoc,
+                sets,
             }
         }
 
-        /// The batched same-way promotion — with its virtual arms, the
-        /// one-word whole-block update and the no-op inside a piece
-        /// whose MRU is already the way — is exactly the per-line
-        /// promotion, on runs of up to 160 lines that cross blocks.
-        #[test]
-        fn promote_uniform_matches_per_line_promotes(
-            sets in prop_oneof![Just(64usize), Just(128usize)],
-            assoc in 1usize..9,
-            ops in proptest::collection::vec((0u8..4, 0u64..4096, 1u64..160), 0..48),
-            start in 0u64..4096,
-            len in 1u64..160
-        ) {
-            let mut c = SetAssocCache::new(sets, assoc);
-            for &(kind, start, len) in &ops {
-                apply_op(&mut c, kind, start, len);
-            }
-            // The longest same-way run, up to `len` lines, from the first
-            // resident line at or after `start`.
-            let Some(first) = (start..start + 4096).find(|&l| way_of(&c, l).is_some()) else {
-                return Ok(());
+        fn full(&self) -> u16 {
+            ((1u32 << self.assoc) - 1) as u16
+        }
+
+        fn set(&self, l: u64) -> usize {
+            (l % self.sets as u64) as usize
+        }
+
+        fn way_of(&self, l: u64) -> Option<usize> {
+            let s = self.set(l);
+            (0..self.assoc).find(|&w| self.tags[s * self.assoc + w] == l)
+        }
+
+        /// Fill an absent line: `(way, evicted)`.
+        fn fill(&mut self, l: u64) -> (usize, Option<u64>) {
+            let s = self.set(l);
+            let (o, p) = (self.occ[s], self.recency[s]);
+            let (way, np, ev) = if o == self.full() {
+                let way = ((p >> (4 * (self.assoc - 1))) & 0xF) as usize;
+                (
+                    way,
+                    (p << 4) | way as u64,
+                    Some(self.tags[s * self.assoc + way]),
+                )
+            } else {
+                let way = (!o & self.full()).trailing_zeros() as usize;
+                self.occ[s] |= 1 << way;
+                (way, SetAssocCache::promote_word(p, way as u64), None)
             };
-            let way = way_of(&c, first);
-            let n = (0..len).take_while(|&k| way_of(&c, first + k) == way).count();
-            let (way, mut per_line) = (way.unwrap(), c.clone());
-            c.promote_uniform(LineAddr(first), way as u64, n);
-            for k in 0..n as u64 {
-                per_line.promote(((first + k) & c.set_mask) as usize, way);
+            self.recency[s] = np;
+            self.tags[s * self.assoc + way] = l;
+            (way, ev)
+        }
+
+        fn promote(&mut self, l: u64) {
+            let (s, w) = (self.set(l), self.way_of(l).unwrap());
+            self.recency[s] = SetAssocCache::promote_word(self.recency[s], w as u64);
+        }
+
+        fn invalidate(&mut self, l: u64) {
+            let (s, w) = (self.set(l), self.way_of(l).unwrap());
+            self.tags[s * self.assoc + w] = TAG_INVALID;
+            self.occ[s] &= !(1 << w);
+        }
+    }
+
+    /// The cache's logical state, read through its runs, against the
+    /// oracle's.
+    fn assert_same(c: &SetAssocCache, o: &PerLine) {
+        for s in 0..c.sets {
+            assert_eq!(c.occ[s], o.occ[s], "occupancy at set {s}");
+            assert_eq!(c.recency_of(s), o.recency[s], "recency at set {s}");
+            for w in 0..c.assoc {
+                assert_eq!(
+                    c.tag_at(c.slot(w, s) as u32),
+                    o.tags[s * c.assoc + w],
+                    "tag at (way {w}, set {s})"
+                );
             }
-            c.check_block_invariants();
-            prop_assert!(logical_state(&c) == logical_state(&per_line), "cache state diverged");
+        }
+        let resident = o.occ.iter().map(|x| x.count_ones() as u64).sum::<u64>();
+        assert_eq!(c.resident, resident);
+        c.check_block_invariants();
+    }
+
+    /// Every victim a log names, as lines.
+    fn victim_lines(log: &FillLog) -> Vec<u64> {
+        let mut v = log.victims.clone();
+        for &(g, bits) in &log.victim_groups {
+            v.extend((0..64).filter(|j| bits >> j & 1 != 0).map(|j| (g << 6) | j));
+        }
+        v.sort_unstable();
+        v
+    }
+
+    /// Apply one range op to the cache and the oracle: a fill of the
+    /// absent lines of `[start, start + len)` (as maximal absent runs),
+    /// a promotion or an invalidation of its resident lines (as maximal
+    /// runs at one way), or (kind 3) a fill of the aligned group holding
+    /// `start` through [`SetAssocCache::fill_block`] when the group is
+    /// absent and its block has the one-run shape. Returns whether a fill
+    /// took the per-set path.
+    fn apply(c: &mut SetAssocCache, o: &mut PerLine, kind: u8, start: u64, len: u64) -> bool {
+        if kind == 3 {
+            let g = start >> 6;
+            let lines = g << 6..(g + 1) << 6;
+            if c.blocks == 0 || lines.clone().any(|l| o.way_of(l).is_some()) {
+                return false;
+            }
+            let Some((w, victim)) = c.fill_block(LineAddr(g << 6)) else {
+                return apply(c, o, 0, g << 6, 64);
+            };
+            let mut want = Vec::new();
+            for l in lines {
+                let (ow, v) = o.fill(l);
+                assert_eq!(ow, w as usize, "way of line {l}");
+                want.extend(v);
+            }
+            want.sort_unstable();
+            let got: Vec<u64> = victim.map_or(vec![], |v| ((v << 6)..(v + 1) << 6).collect());
+            assert_eq!(got, want, "victims of the whole-block fill");
+            return false;
+        }
+        let mut per_set = false;
+        let mut l = start;
+        while l < start + len {
+            let way = o.way_of(l);
+            let n = (l..start + len).take_while(|&x| o.way_of(x) == way).count();
+            match (kind, way) {
+                (0, None) => {
+                    let mut log = FillLog::default();
+                    let ev = c.fill_run(LineAddr(l), n, &mut log);
+                    let mut want = Vec::new();
+                    for k in 0..n as u64 {
+                        let (w, v) = o.fill(l + k);
+                        want.extend(v);
+                        assert_eq!(log.way_at(k as u32), w as u32, "way of line {}", l + k);
+                    }
+                    want.sort_unstable();
+                    assert_eq!(ev, want.len() as u64);
+                    assert_eq!(victim_lines(&log), want);
+                    per_set |= log.per_set;
+                }
+                (1, Some(w)) => {
+                    c.promote_uniform(LineAddr(l), w as u64, n);
+                    (l..l + n as u64).for_each(|x| o.promote(x));
+                }
+                (2, Some(w)) => {
+                    c.invalidate_run(LineAddr(l), w as u64, n);
+                    (l..l + n as u64).for_each(|x| o.invalidate(x));
+                }
+                _ => {}
+            }
+            l += n as u64;
+        }
+        per_set
+    }
+
+    proptest! {
+        /// Range fills (and whole-block fills), promotions and
+        /// invalidations over run-list blocks are exactly the per-line
+        /// fills, promotions and invalidations of an oracle with no block
+        /// state: same tags, occupancy, recency and residency after every
+        /// op, same ways per line and the same victims. Ranges of 1–160 lines cross blocks and the
+        /// set wrap, short ranges fragment blocks into up to eight runs
+        /// and past them into the materialized form, and long ones
+        /// re-merge them.
+        #[test]
+        fn range_ops_match_per_line_oracle(
+            sets in prop_oneof![Just(32usize), Just(64usize), Just(128usize)],
+            assoc in 1usize..9,
+            ops in proptest::collection::vec((0u8..4, 0u64..1024, 1u64..160), 1..60)
+        ) {
+            let mut c = SetAssocCache::new(sets, assoc);
+            let mut o = PerLine::new(sets, assoc);
+            for &(kind, start, len) in &ops {
+                // Short ranges most of the time: they split runs.
+                let len = if len > 100 { len } else { 1 + len % 12 };
+                apply(&mut c, &mut o, kind, start, len);
+                assert_same(&c, &o);
+            }
         }
     }
 
     #[test]
-    fn promote_uniform_across_blocks_updates_each_block() {
-        // Two virtual blocks holding groups 0 and 1 at way 0; block 1
-        // then takes group 3 at way 1, so only block 0 has way 0 as its
-        // MRU. A way-0 run from block 0 into block 1 is a no-op in the
-        // first block but a real promotion in the second.
-        let mut c = SetAssocCache::new(128, 2);
-        for g in [0u64, 1, 3] {
-            let placed =
-                c.fill_group_virtual(LineAddr(g << BLOCK_SHIFT), BLOCK_SETS, &mut Vec::new());
-            assert!(placed.is_some(), "pristine blocks fill virtually");
+    fn nine_runs_materialize_and_stay_exact() {
+        // Promote one set in each of nine 7-set pieces of a full block:
+        // the alternating words need more than eight runs, the block
+        // goes per-set, and a fill over it takes the per-set path. A
+        // whole-block promotion re-merges the words, and the next
+        // operation re-derives the block's runs. The state stays exact
+        // throughout.
+        let mut c = SetAssocCache::new(64, 2);
+        let mut o = PerLine::new(64, 2);
+        for g in 0..2u64 {
+            assert!(!apply(&mut c, &mut o, 0, g * 64, 64));
         }
-        let mut per_line = c.clone();
-        c.promote_uniform(LineAddr(10), 0, 90);
-        for l in 10..100 {
-            per_line.promote(l as usize, 0);
+        for k in 0..9u64 {
+            apply(&mut c, &mut o, 1, k * 7, 1);
+            assert_same(&c, &o);
         }
-        assert!(logical_state(&c) == logical_state(&per_line));
+        assert!(c.blk[0].rec.is_empty(), "the block materialized");
+        assert!(apply(&mut c, &mut o, 0, 128 + 1, 3), "per-set fill");
+        assert_same(&c, &o);
+        apply(&mut c, &mut o, 1, 64, 64);
+        apply(&mut c, &mut o, 1, 64, 1);
+        assert_same(&c, &o);
+        assert!(!c.blk[0].rec.is_empty(), "runs re-derived");
+    }
+
+    #[test]
+    fn interleaved_chunk_edges_keep_runs() {
+        // Three strips' chunks alternate into one block: each fill splits
+        // at most two runs, so the block stays on its run list (no
+        // per-set fill) and the strips' tags stay group runs.
+        let mut c = SetAssocCache::new(64, 4);
+        let mut o = PerLine::new(64, 4);
+        for g in 0..4u64 {
+            apply(&mut c, &mut o, 0, g * 64, 64);
+        }
+        let mut per_set = false;
+        for (a, b) in [(0u64, 21u64), (21, 43), (43, 64)] {
+            for strip in 0..3u64 {
+                let base = (10 + strip) * 64;
+                per_set |= apply(&mut c, &mut o, 0, base + a, b - a);
+                assert_same(&c, &o);
+            }
+        }
+        assert!(!per_set, "interleaved edges stay on runs");
+        assert!(!c.blk[0].rec.is_empty());
+    }
+
+    #[test]
+    fn whole_block_fills_take_the_one_run_shape() {
+        // Two empty ways, then a full block: each whole-group fill is one
+        // choice, the third displacing the first group as one victim.
+        let mut c = SetAssocCache::new(64, 2);
+        let mut o = PerLine::new(64, 2);
+        for (g, want) in [(0u64, (0, None)), (1, (1, None)), (2, (0, Some(0)))] {
+            assert_eq!(c.fill_block(LineAddr(g << 6)), Some(want));
+            for l in g << 6..(g + 1) << 6 {
+                o.fill(l);
+            }
+            assert_same(&c, &o);
+        }
+        // A raw victim strip declines, changing nothing.
+        apply(&mut c, &mut o, 1, 64, 64);
+        c.materialize_strip(0, 0);
+        assert_eq!(c.fill_block(LineAddr(3 << 6)), None);
+        assert!(!apply(&mut c, &mut o, 3, 3 << 6, 64));
+        assert_same(&c, &o);
     }
 
     #[test]
@@ -1513,6 +1350,21 @@ mod tests {
         assert!(c.contains(line(1)));
         assert!(c.contains(line(2)));
         assert!(c.contains(line(3)));
+    }
+
+    #[test]
+    fn group_run_victims_are_the_group_lines() {
+        // 64 sets, 1 way: a whole-group fill over a resident group evicts
+        // it as one (group, bits) run, and a single-line fill reports the
+        // derived line.
+        let mut c = SetAssocCache::new(64, 1);
+        let mut log = FillLog::default();
+        c.fill_run(line(0), 64, &mut log);
+        log.clear();
+        assert_eq!(c.fill_run(line(64), 64, &mut log), 64);
+        assert_eq!(log.victim_groups, [(0, u64::MAX)]);
+        assert!(log.victims.is_empty());
+        assert_eq!(c.insert(line(128 + 5)), Some(line(64 + 5)));
     }
 
     #[test]

@@ -7,12 +7,13 @@
 //! copy and moves the line to the reader.
 
 use crate::addr::{AddrRange, LineAddr};
-use crate::cache::{SetAssocCache, VGroupFill};
+use crate::cache::{FillLog, SetAssocCache};
 use crate::extent::{
-    run_mask, run_way, ExtentMap, GroupState, GROUP_LINES, GROUP_MASK, GROUP_SHIFT,
+    owner_way, place, run_mask, ExtentMap, Place, Placement, GROUP_LINES, GROUP_MASK, GROUP_SHIFT,
 };
 use crate::linetab::{owner_of as packed_owner, pack, slot_of as packed_slot, LineTable, EMPTY};
 use crate::params::MemParams;
+use crate::runs::Runs;
 use sais_sim::SimDuration;
 
 /// Classification of the lines touched by one bulk access.
@@ -89,22 +90,21 @@ pub struct MemorySystem {
     set_shift: u32,
     /// `sets - 1`: masks a line number to its set index.
     set_mask: u64,
-    /// Reusable eviction sink for [`SetAssocCache::fill_run`]; drained
-    /// into the extent summaries after each batched fill.
-    victims: Vec<u64>,
-    /// Directory words of a mask-path fill, which reach the directory
-    /// only if the fill leaves its group non-uniform.
-    entries: [u32; GROUP_LINES as usize],
+    /// Reusable log of [`SetAssocCache::fill_run`]: its placements and
+    /// victims are drained into the extent summaries (and, for the walk
+    /// or a spilled group, the directory) after each batched fill.
+    log: FillLog,
     /// Fast-path engagement counters (deterministic per run; see
     /// [`MemorySystem::extent_stats`]).
     ext_whole_hits: u64,
     ext_whole_c2c: u64,
     ext_whole_fills: u64,
     ext_partial_hits: u64,
+    ext_partial_c2c: u64,
     ext_masked_fill_lines: u64,
     ext_fallback_lines: u64,
     ext_prefix_fills: u64,
-    ext_split_fills: u64,
+    ext_per_set_fills: u64,
     /// Total cache-to-cache line transfers (the migration count).
     c2c_transfers: u64,
     /// Total DRAM line fetches.
@@ -124,22 +124,27 @@ pub struct ExtentStats {
     pub whole_c2c_groups: u64,
     /// Whole groups cold-filled without consulting the directory.
     pub whole_fill_groups: u64,
-    /// Lines classified all-hit by the residency mask of a uniform
-    /// locally-owned group (whole or partial), skipping the per-line
-    /// walk.
+    /// Lines served as local hits by a group's placement runs, outside
+    /// whole all-hit groups: batched promotions without per-line
+    /// directory traffic.
     pub partial_hit_lines: u64,
+    /// Lines migrated cache-to-cache by a group's placement runs,
+    /// outside whole all-remote groups.
+    pub partial_c2c_lines: u64,
     /// Lines proven absent by the residency mask and batch-filled
-    /// without per-line directory validation.
+    /// without per-line directory validation, outside whole absent
+    /// groups.
     pub masked_fill_lines: u64,
-    /// Lines that went through the exact per-line walk instead.
+    /// Lines that went through the exact per-line walk instead: lines of
+    /// groups whose placement needs more than eight runs.
     pub fallback_lines: u64,
-    /// Mask-path fills of a group's leading lines `[0, s)`, `s < 64`:
-    /// the first half of a chunk edge.
+    /// Fills of a group's leading lines `[0, s)`, `s < 64`: the first
+    /// half of a chunk edge.
     pub prefix_fills: u64,
-    /// Chunk edges served wholly on the split path: a prefix fill split
-    /// its cache block and the group's suffix fill collapsed it back to
-    /// one piece (see the split of a cache block in `cache.rs`).
-    pub split_fills: u64,
+    /// Fills (outside the exact walk) in which some cache block took the
+    /// materialized per-set path, because its recency needed more than
+    /// eight runs.
+    pub per_set_fills: u64,
 }
 
 impl MemorySystem {
@@ -175,16 +180,16 @@ impl MemorySystem {
             extents_on,
             set_shift: sets.trailing_zeros(),
             set_mask: sets as u64 - 1,
-            victims: Vec::new(),
-            entries: [0; GROUP_LINES as usize],
+            log: FillLog::default(),
             ext_whole_hits: 0,
             ext_whole_c2c: 0,
             ext_whole_fills: 0,
             ext_partial_hits: 0,
+            ext_partial_c2c: 0,
             ext_masked_fill_lines: 0,
             ext_fallback_lines: 0,
             ext_prefix_fills: 0,
-            ext_split_fills: 0,
+            ext_per_set_fills: 0,
             c2c_transfers: 0,
             dram_fetches: 0,
         }
@@ -199,7 +204,7 @@ impl MemorySystem {
     /// of this system's life (equivalent to constructing under
     /// `SAIS_MEM_NO_EXTENTS=1`). One-way: re-enabling after touches have
     /// bypassed the bookkeeping would consume stale summaries. Every
-    /// uniform group's directory span is written first — once the
+    /// placed group's directory span is written first — once the
     /// summaries are off, the walks consult only the directory.
     pub fn disable_extents(&mut self) {
         if self.extents_on {
@@ -219,10 +224,11 @@ impl MemorySystem {
             whole_c2c_groups: self.ext_whole_c2c,
             whole_fill_groups: self.ext_whole_fills,
             partial_hit_lines: self.ext_partial_hits,
+            partial_c2c_lines: self.ext_partial_c2c,
             masked_fill_lines: self.ext_masked_fill_lines,
             fallback_lines: self.ext_fallback_lines,
             prefix_fills: self.ext_prefix_fills,
-            split_fills: self.ext_split_fills,
+            per_set_fills: self.ext_per_set_fills,
         }
     }
 
@@ -247,22 +253,23 @@ impl MemorySystem {
     /// residency, so the check is exact: a fill records the entry, an
     /// eviction or invalidation clears the tag, and the slot can only
     /// hold this line again if the line was re-filled there (which
-    /// rewrites the entry). Stale entries read as absent. A line of a
-    /// *uniform* group is answered by the summary instead, which is that
-    /// group's directory (see [`crate::extent`]): resident iff its mask
-    /// bit is set, at the slot `(owner, way)` implies.
+    /// rewrites the entry). Stale entries read as absent. With the
+    /// summaries on, an absent line is answered by its group's exact
+    /// residency mask, and a line of a *placed* group by its placement,
+    /// which is that group's directory (see [`crate::extent`]): the slot
+    /// is the one `(owner, way)` implies.
     #[inline]
     fn live_entry(&self, line: LineAddr) -> Option<u32> {
-        let group = line.0 >> GROUP_SHIFT;
-        if let Some((owner, way)) = self
-            .extents_on
-            .then(|| self.extents.uniform_info(group))
-            .flatten()
-        {
-            let slot = (way << self.set_shift) | (line.0 & self.set_mask) as u32;
-            let resident = self.extents.group_mask(group) >> (line.0 & GROUP_MASK) & 1 != 0;
-            debug_assert_eq!(self.caches[owner as usize].tag_at(slot) == line.0, resident);
-            return resident.then(|| pack(owner as usize, slot));
+        if self.extents_on {
+            let located = self
+                .extents
+                .locate(line.0 >> GROUP_SHIFT, (line.0 & GROUP_MASK) as u32);
+            if let Some(at) = located {
+                let (owner, way) = at?;
+                let slot = (way << self.set_shift) | (line.0 & self.set_mask) as u32;
+                debug_assert_eq!(self.caches[owner as usize].tag_at(slot), line.0);
+                return Some(pack(owner as usize, slot));
+            }
         }
         let packed = self.directory.get(line.0)?;
         (self.caches[packed_owner(packed)].tag_at(packed_slot(packed)) == line.0).then_some(packed)
@@ -274,15 +281,15 @@ impl MemorySystem {
     /// cache.
     ///
     /// In the steady state the cost is proportional to **ownership
-    /// boundaries, not lines**: an aligned 64-line group whose extent
-    /// summary proves it wholly live in one cache (see [`crate::extent`])
-    /// is classified and accounted in O(1) — a local all-hit group takes
-    /// one batched recency promotion, a wholly remote group one batched
-    /// invalidation plus one batched fill, and a wholly absent group goes
-    /// straight to the batched fill without reading (or validating) a
-    /// single directory entry. Groups that are mixed, partially resident,
-    /// or clipped by the range's edges fall back to the exact per-line
-    /// walk below, which also keeps the summaries up to date.
+    /// boundaries, not lines**: each aligned 64-line group (or the part
+    /// of one a range's edge clips) is served off its extent summary
+    /// (see [`crate::extent`]) one run at a time — a run of local hits
+    /// is one batched recency promotion, a run resident in another cache
+    /// one batched invalidation plus one batched fill, and an absent run
+    /// goes straight to the batched fill without reading (or validating)
+    /// a single directory entry. Only a group whose placement needs more
+    /// than eight runs falls back to the exact per-line walk below, which
+    /// also keeps the summaries up to date.
     ///
     /// The per-line walk classifies against the way-indexed directory: a
     /// set-aligned strip resolves analytically with one conclusive
@@ -325,11 +332,11 @@ impl MemorySystem {
         counts
     }
 
-    /// The extent-summarized walk over `[first, end)`: dispatch aligned
-    /// whole groups through the O(1) fast paths, everything else through
-    /// [`MemorySystem::walk_exact`]. Consecutive fallback groups are
-    /// coalesced into a single exact walk so a long mixed stretch still
-    /// pays the page walk once.
+    /// The extent-summarized walk over `[first, end)`: each group's part
+    /// of the range goes through [`MemorySystem::touch_group`]; a
+    /// directory group goes to [`MemorySystem::walk_exact`] instead,
+    /// coalesced with the directory groups after it so a long mixed
+    /// stretch still pays the page walk once.
     fn touch_grouped(
         &mut self,
         core: usize,
@@ -338,122 +345,49 @@ impl MemorySystem {
         counts: &mut AccessCounts,
         evictions: &mut u64,
     ) {
+        let group_end = |key: u64| end.min((key | GROUP_MASK) + 1);
         let mut key = first;
         while key < end {
-            if key & GROUP_MASK != 0 || end - key < GROUP_LINES {
-                // Partial group at a range edge: the residency mask
-                // usually proves enough — all-hit, all-absent, or an
-                // alternation of the two inside a uniform local group —
-                // to stay off the per-line walk entirely. Anything the
-                // mask can't prove walks per-line, through the
-                // directory, so a uniform (remote) group's span is
-                // written first.
-                let stop = end.min((key | GROUP_MASK) + 1);
-                if self.touch_masked(core, key, stop, counts, evictions) {
-                    key = stop;
-                    continue;
-                }
-                self.spill_group(key >> GROUP_SHIFT);
-                self.ext_fallback_lines += stop - key;
-                self.walk_exact::<true>(core, key, stop, counts, evictions);
+            let stop = group_end(key);
+            if self.touch_group(core, key, stop, counts, evictions) {
                 key = stop;
                 continue;
             }
-            match self.extents.classify(key >> GROUP_SHIFT) {
-                GroupState::Whole { owner, way } if owner as usize == core => {
-                    // Local all-hit replay: every line already resident
-                    // here at `way`. No directory or tag traffic at all —
-                    // just the batched recency promotion the per-line
-                    // walk would have produced.
-                    counts.hits += GROUP_LINES;
-                    self.ext_whole_hits += 1;
-                    self.caches[core].promote_uniform(
-                        LineAddr(key),
-                        way as u64,
-                        GROUP_LINES as usize,
-                    );
-                    key += GROUP_LINES;
+            let mut stop = stop;
+            while stop < end {
+                let next = group_end(stop);
+                let sub = run_mask((stop & GROUP_MASK) as u32, (next - stop) as u32);
+                if !self.extents.needs_walk(stop >> GROUP_SHIFT, sub) {
+                    break;
                 }
-                GroupState::Whole { owner, way } => {
-                    // Whole-extent cache-to-cache migration: batch the
-                    // remote invalidation (remote and local caches are
-                    // disjoint state, so invalidating first is
-                    // order-equivalent to the per-line interleaving),
-                    // then fill locally in line order. No span write —
-                    // the whole group disappears at once, so its stale
-                    // entries stay conclusively dead.
-                    counts.c2c += GROUP_LINES;
-                    self.ext_whole_c2c += 1;
-                    self.caches[owner as usize].invalidate_run(
-                        LineAddr(key),
-                        way as u64,
-                        GROUP_LINES as usize,
-                    );
-                    self.extents
-                        .apply_evicts(key >> GROUP_SHIFT, GROUP_LINES as u32, u64::MAX);
-                    *evictions += self.fill_lines(core, key, GROUP_LINES as usize);
-                    key += GROUP_LINES;
-                }
-                GroupState::Empty => {
-                    // Cold (or fully evicted) group: every line is a DRAM
-                    // fetch. Skips the per-line stale-entry validation
-                    // loads entirely — the summary already proved
-                    // absence — and goes straight to the batched fill.
-                    counts.dram += GROUP_LINES;
-                    self.ext_whole_fills += 1;
-                    *evictions += self.fill_lines(core, key, GROUP_LINES as usize);
-                    key += GROUP_LINES;
-                }
-                GroupState::Mixed => {
-                    // A partially-resident group whose resident lines
-                    // all sit locally at one way splits into hit and
-                    // fill runs straight off the mask, with no per-line
-                    // directory traffic.
-                    if self.extents.uniform_local(key >> GROUP_SHIFT, core as u32) {
-                        let handled =
-                            self.touch_masked(core, key, key + GROUP_LINES, counts, evictions);
-                        debug_assert!(handled, "uniform local group not mask-handleable");
-                        key += GROUP_LINES;
-                        continue;
-                    }
-                    // The walk reads the stretch's directory entries, so
-                    // any uniform (remote) group's span is written first.
-                    let mut stop = key + GROUP_LINES;
-                    self.spill_group(key >> GROUP_SHIFT);
-                    while stop + GROUP_LINES <= end
-                        && self.extents.classify(stop >> GROUP_SHIFT) == GroupState::Mixed
-                        && !self.extents.uniform_local(stop >> GROUP_SHIFT, core as u32)
-                    {
-                        self.spill_group(stop >> GROUP_SHIFT);
-                        stop += GROUP_LINES;
-                    }
-                    self.ext_fallback_lines += stop - key;
-                    self.walk_exact::<true>(core, key, stop, counts, evictions);
-                    key = stop;
-                }
+                stop = next;
             }
+            self.ext_fallback_lines += stop - key;
+            self.walk_exact::<true>(core, key, stop, counts, evictions);
+            key = stop;
         }
     }
 
     /// Serve `[key, stop)` — a subrange of one aligned group — from the
-    /// group's residency mask, without per-line directory traffic:
+    /// group's residency mask and placement, without per-line directory
+    /// traffic: absent runs of the mask are batched fills (absence is
+    /// proven, so the exact walk's stale-entry validation is skipped),
+    /// and each resident run splits at the placement's runs into local
+    /// hits (one batched promotion at the run's way) and remote lines
+    /// (one batched invalidation in the owner's cache, then a batched
+    /// fill). Returns `false`, having done nothing, when some line is
+    /// resident and the group is a directory group — the caller walks.
     ///
-    /// * every line absent → one batched fill (absence is proven, so the
-    ///   per-line stale-entry validation of the exact walk is skipped);
-    /// * every line resident in a uniform locally-owned group → one
-    ///   batched recency promotion (a virtual cache block stays virtual);
-    /// * a mix of the two in a uniform local group → alternating hit and
-    ///   fill runs read straight off the mask bits, in line order.
-    ///
-    /// Returns `false` when the mask can't prove enough (some line
-    /// resident but the group is non-uniform or remotely owned) — the
-    /// caller falls back to the exact walk. Exactness of the run split:
-    /// the subrange's lines occupy distinct sets (≤ 64 consecutive
-    /// lines), fills insert only their own run's lines, and a fill's
-    /// victim shares its line's set, so it can never be another line of
-    /// this group — each set sees exactly the operation sequence the
-    /// per-line walk would have issued.
-    fn touch_masked(
+    /// Exactness: the subrange's lines occupy distinct sets (≤ 64
+    /// consecutive lines), each line gets exactly the one operation the
+    /// per-line walk would give it, and a fill's victim shares its
+    /// line's set, so it is never another line of this group. Each set
+    /// of every cache therefore sees the per-line walk's sequence. The
+    /// mask and placement are read once up front: the loop's fills only
+    /// set bits of runs already consumed, and its invalidations clear
+    /// them.
+    #[inline(always)]
+    fn touch_group(
         &mut self,
         core: usize,
         key: u64,
@@ -462,183 +396,178 @@ impl MemorySystem {
         evictions: &mut u64,
     ) -> bool {
         let group = key >> GROUP_SHIFT;
-        let n = (stop - key) as u32;
-        let j0 = (key & GROUP_MASK) as u32;
-        let sub = run_mask(j0, n);
-        let mask = self.extents.group_mask(group);
-        let present = mask & sub;
-        if present == 0 {
+        let (j0, n) = ((key & GROUP_MASK) as u32, (stop - key) as u32);
+        let whole = n == GROUP_LINES as u32;
+        let (mask, place) = self.extents.get(group);
+        if mask & run_mask(j0, n) == 0 {
             counts.dram += n as u64;
-            self.ext_masked_fill_lines += n as u64;
+            if whole {
+                self.ext_whole_fills += 1;
+            } else {
+                self.ext_masked_fill_lines += n as u64;
+            }
             *evictions += self.fill_lines(core, key, n as usize);
             return true;
         }
-        let Some((owner, way)) = self.extents.uniform_info(group) else {
-            return false;
-        };
-        if owner as usize != core {
+        if let Placement::Directory = place {
             return false;
         }
-        if present == sub {
-            counts.hits += n as u64;
-            self.ext_partial_hits += n as u64;
-            self.caches[core].promote_uniform(LineAddr(key), way as u64, n as usize);
-            return true;
-        }
-        // Alternating runs. The mask snapshot stays valid across the
-        // loop: fills only set bits of runs already consumed, and a
-        // fill's victims never belong to this group.
-        let first = key - j0 as u64;
-        let mut bit = j0;
-        let end_bit = j0 + n;
-        while bit < end_bit {
-            let rest = mask >> bit;
-            let hit = rest & 1 != 0;
-            let run = if hit {
+        let first = group << GROUP_SHIFT;
+        let (mut hit, mut c2c, mut dram) = (0u64, 0u64, 0u64);
+        let mut j = j0;
+        while j < j0 + n {
+            let rest = mask >> j;
+            let resident = rest & 1 != 0;
+            let run = if resident {
                 (!rest).trailing_zeros()
             } else {
                 rest.trailing_zeros()
             };
-            let len = run.min(end_bit - bit);
-            let line = first + bit as u64;
-            if hit {
-                counts.hits += len as u64;
-                self.ext_partial_hits += len as u64;
-                self.caches[core].promote_uniform(LineAddr(line), way as u64, len as usize);
+            let len = run.min(j0 + n - j);
+            if !resident {
+                dram += len as u64;
+                *evictions += self.fill_lines(core, first + j as u64, len as usize);
             } else {
-                counts.dram += len as u64;
-                self.ext_masked_fill_lines += len as u64;
-                *evictions += self.fill_lines(core, line, len as usize);
+                let (a, b) = (j as usize, (j + len) as usize);
+                let mut serve = |this: &mut Self, s: usize, e: usize, v: Place| {
+                    let local = this.touch_resident(core, first, s, e - s, v, evictions);
+                    *(if local { &mut hit } else { &mut c2c }) += (e - s) as u64;
+                };
+                match place {
+                    Placement::One(v) => serve(self, a, b, v),
+                    Placement::Runs(runs) => {
+                        for (s, e, v) in runs.pieces(a, b) {
+                            serve(self, s, e, v);
+                        }
+                    }
+                    Placement::Directory => unreachable!("directory groups walk"),
+                }
             }
-            bit += len;
+            j += len;
+        }
+        counts.hits += hit;
+        counts.c2c += c2c;
+        counts.dram += dram;
+        if whole && hit == GROUP_LINES {
+            self.ext_whole_hits += 1;
+        } else if whole && c2c == GROUP_LINES {
+            self.ext_whole_c2c += 1;
+        } else {
+            self.ext_partial_hits += hit;
+            self.ext_partial_c2c += c2c;
+            self.ext_masked_fill_lines += dram;
         }
         true
     }
 
-    /// Fill `n` consecutive lines of one aligned group, proven absent
-    /// everywhere, into `core`'s cache: the shared tail of the cold-fill,
-    /// cache-to-cache and mask-split paths. Returns the eviction count.
-    ///
-    /// Tries the cache's block-grained virtual fill first — a whole
-    /// group, a chunk's leading prefix (which splits the cache block) or
-    /// the matching suffix (which collapses it back). When it lands, no
-    /// per-set recency moves and the victim strip's decrement is one
-    /// summary update when the strip held one group. The fallback is the
-    /// materialized per-line fill. Either way the group's directory
-    /// entries are written only if the fill leaves it non-uniform.
-    /// Always inlined, with the virtual fill: at the whole-group call
-    /// sites `n` is the constant 64 and the edge branches fold away.
+    /// Serve lines `[s, s + m)` of the group at `first`, resident at
+    /// placement `v`: a local run is one batched promotion, a remote one
+    /// a batched invalidation in the owner's cache (remote and local
+    /// caches are disjoint state, so invalidating the run first is
+    /// order-equivalent to the per-line interleaving) and then a batched
+    /// fill. Returns whether the run was local.
     #[inline(always)]
-    fn fill_lines(&mut self, core: usize, key: u64, n: usize) -> u64 {
-        debug_assert!(self.victims.is_empty());
-        let (group, j0) = (key >> GROUP_SHIFT, (key & GROUP_MASK) as u32);
-        self.ext_prefix_fills += (j0 == 0 && n < GROUP_LINES as usize) as u64;
-        let mut victims = std::mem::take(&mut self.victims);
-        let placed = self.caches[core].fill_group_virtual(LineAddr(key), n, &mut victims);
-        let (way, ev) = match placed {
-            Some(VGroupFill::Rotated { way, old_group }) => {
-                if old_group == 0 {
-                    self.extents.note_evicts(&victims);
-                    victims.clear();
-                } else {
-                    self.extents
-                        .apply_evicts(old_group - 1, n as u32, run_mask(j0, n as u32));
-                }
-                (way, n as u64)
-            }
-            Some(VGroupFill::Fresh { way }) => (way, 0),
-            None => {
-                self.victims = victims;
-                return self.fill_lines_per_set(core, key, n);
-            }
-        };
-        self.victims = victims;
-        // Off the group start, only a split block's suffix goes virtual,
-        // collapsing the block.
-        self.ext_split_fills += (j0 != 0) as u64;
-        let spill = self
-            .extents
-            .apply_fills(group, j0, n as u32, core as u32, way, true);
-        if let Some(spill) = spill {
-            self.spill_fill(core, key, n, spill, Some(way));
-        }
-        ev
-    }
-
-    /// The per-set fallback of [`MemorySystem::fill_lines`]: the batched
-    /// `fill_run`, its directory words kept aside until the summary says
-    /// whether the group still stands for them.
-    #[inline(never)]
-    fn fill_lines_per_set(&mut self, core: usize, key: u64, n: usize) -> u64 {
-        let mut victims = std::mem::take(&mut self.victims);
-        let entries = &mut self.entries[..n];
-        let ev =
-            self.caches[core].fill_run::<true>(LineAddr(key), entries, pack(core, 0), &mut victims);
-        let (way, uniform) = run_way(entries, self.set_shift);
-        self.extents.note_evicts(&victims);
-        victims.clear();
-        self.victims = victims;
-        let (group, j0) = (key >> GROUP_SHIFT, (key & GROUP_MASK) as u32);
-        let spill = self
-            .extents
-            .apply_fills(group, j0, n as u32, core as u32, way, uniform);
-        if let Some(spill) = spill {
-            self.spill_fill(core, key, n, spill, None);
-        }
-        ev
-    }
-
-    /// A fill of `n` lines from `key` left its group non-uniform: write
-    /// the entries the summary stood for (`spill`, see
-    /// [`ExtentMap::apply_fills`]), then the run's own — at `way`, or the
-    /// per-set fill's words.
-    #[cold]
-    #[inline(never)]
-    fn spill_fill(
+    fn touch_resident(
         &mut self,
         core: usize,
-        key: u64,
-        n: usize,
-        (owner, old_way, bits): (u32, u32, u64),
-        way: Option<u32>,
-    ) {
-        let group = key >> GROUP_SHIFT;
-        self.write_dir(group, owner, old_way, bits);
-        match way {
-            Some(way) => {
-                let run = run_mask((key & GROUP_MASK) as u32, n as u32);
-                self.write_dir(group, core as u32, way, run);
-            }
-            None => self
-                .directory
-                .page_span(key, n)
-                .copy_from_slice(&self.entries[..n]),
+        first: u64,
+        s: usize,
+        m: usize,
+        v: Place,
+        evictions: &mut u64,
+    ) -> bool {
+        let (owner, way) = owner_way(v);
+        let line = LineAddr(first + s as u64);
+        if owner as usize == core {
+            self.caches[core].promote_uniform(line, way as u64, m);
+            return true;
         }
+        self.caches[owner as usize].invalidate_run(line, way as u64, m);
+        self.extents
+            .apply_evicts(first >> GROUP_SHIFT, run_mask(s as u32, m as u32));
+        *evictions += self.fill_lines(core, line.0, m);
+        false
     }
 
-    /// Write the directory entries of `group`'s `bits` lines, resident
-    /// in `owner`'s cache at `way`: the slot is implied by the line's set.
-    fn write_dir(&mut self, group: u64, owner: u32, way: u32, bits: u64) {
+    /// Fill `n` consecutive lines of one aligned group, proven absent
+    /// everywhere, into `core`'s cache: the shared tail of every
+    /// [`MemorySystem::touch_group`] fill. A whole group into a block of
+    /// the one-run shape is one [`SetAssocCache::fill_block`] and two
+    /// summary words (the group is drained: its lines were absent or
+    /// just invalidated). Otherwise one [`SetAssocCache::fill_run`]
+    /// places the lines run by run; its victims go to the summaries (a
+    /// group strip's as one mask update), and its placement stretches
+    /// become the group's placement runs — the group's directory
+    /// entries are written only if that placement overflows. Returns the
+    /// eviction count.
+    #[inline]
+    fn fill_lines(&mut self, core: usize, key: u64, n: usize) -> u64 {
+        let (group, j0) = (key >> GROUP_SHIFT, (key & GROUP_MASK) as usize);
+        if n == GROUP_LINES as usize {
+            if let Some((way, victim)) = self.caches[core].fill_block(LineAddr(key)) {
+                if let Some(g) = victim {
+                    self.extents.apply_evicts(g, u64::MAX);
+                }
+                let placed = self.extents.fill_at(group, 0, n, place(core as u32, way));
+                debug_assert!(placed, "an absent group is drained");
+                return if victim.is_some() { n as u64 } else { 0 };
+            }
+        }
+        self.ext_prefix_fills += (j0 == 0 && n < GROUP_LINES as usize) as u64;
+        let log = &mut self.log;
+        log.clear();
+        let ev = self.caches[core].fill_run(LineAddr(key), n, log);
+        self.ext_per_set_fills += log.per_set as u64;
+        self.extents.note_evicts(&log.victims);
+        for &(g, bits) in &log.victim_groups {
+            self.extents.apply_evicts(g, bits);
+        }
+        let ways = log.placed.iter().map(|&(o, w)| (j0 + o as usize, w));
+        if let Some(spill) = self.extents.apply_fills(group, j0, n, core as u32, ways) {
+            self.spill_fill(core, key, n, spill);
+        }
+        ev
+    }
+
+    /// A fill of `n` lines from `key` left its group a directory group:
+    /// write the entries the old placement stood for (`spill`, see
+    /// [`ExtentMap::apply_fills`]), then the run's own, at the ways
+    /// the fill's log records.
+    #[cold]
+    #[inline(never)]
+    fn spill_fill(&mut self, core: usize, key: u64, n: usize, (old, bits): (Runs<Place>, u64)) {
+        self.write_placement(key >> GROUP_SHIFT, old, bits);
+        let span = self.directory.page_span(key, n);
+        let placed = &self.log.placed;
+        write_entries(span, key, placed, core, self.set_shift, self.set_mask);
+    }
+
+    /// Write the directory entries of `group`'s `bits` lines, placed by
+    /// `place`: the slot is implied by each line's set and run's way.
+    fn write_placement(&mut self, group: u64, place: Runs<Place>, bits: u64) {
         if bits == 0 {
             return;
         }
         let first = group << GROUP_SHIFT;
-        let base = (way << self.set_shift) | (first & self.set_mask) as u32;
         // A 64-aligned group never straddles a 4096-line directory page.
         let span = self.directory.page_span(first, GROUP_LINES as usize);
-        let mut rest = bits;
-        while rest != 0 {
-            let j = rest.trailing_zeros();
-            span[j as usize] = pack(owner as usize, base + j);
-            rest &= rest - 1;
+        for (s, e, v) in place.pieces(0, GROUP_LINES as usize) {
+            let (owner, way) = owner_way(v);
+            let base = (way << self.set_shift) | (first & self.set_mask) as u32;
+            let mut rest = bits & run_mask(s as u32, (e - s) as u32);
+            while rest != 0 {
+                let j = rest.trailing_zeros();
+                span[j as usize] = pack(owner as usize, base + j);
+                rest &= rest - 1;
+            }
         }
     }
 
-    /// Hand a uniform group over to the directory ahead of a walk that
-    /// reads its entries: write them from the summary and clear the bit.
+    /// Hand a placed group over to the directory ahead of a walk that
+    /// reads its entries: write them from the placement and drop it.
     fn spill_group(&mut self, group: u64) {
-        if let Some((owner, way, bits)) = self.extents.take_uniform(group) {
-            self.write_dir(group, owner, way, bits);
+        if let Some((place, bits)) = self.extents.take_placement(group) {
+            self.write_placement(group, place, bits);
         }
     }
 
@@ -719,9 +648,9 @@ impl MemorySystem {
                             unsafe { self.caches.get_unchecked_mut(core) }.fill_absent(line);
                         *evictions += ev.is_some() as u64;
                         if EXT {
-                            // The stretch's groups were spilled before the
-                            // walk and every walk fill writes its entry, so
-                            // a fill that breaks uniformity spills nothing.
+                            // The stretch's groups are directory groups and
+                            // every walk fill writes its entry, so a fill
+                            // that overflows a placement spills nothing.
                             self.extents.note_evict(line.0);
                             if let Some(v) = ev {
                                 self.extents.note_evict(v.0);
@@ -760,24 +689,25 @@ impl MemorySystem {
                 }
                 counts.dram += (i - start) as u64;
                 let run = unsafe { span.get_unchecked_mut(start..i) };
+                let log = &mut self.log;
+                log.clear();
+                *evictions +=
+                    unsafe { self.caches.get_unchecked_mut(core) }.fill_run(line, run.len(), log);
+                write_entries(
+                    run,
+                    line.0,
+                    &log.placed,
+                    core,
+                    self.set_shift,
+                    self.set_mask,
+                );
                 if EXT {
-                    *evictions += unsafe { self.caches.get_unchecked_mut(core) }.fill_run::<true>(
-                        line,
-                        run,
-                        pack(core, 0),
-                        &mut self.victims,
-                    );
+                    self.extents.note_evicts(&log.victims);
+                    for &(g, bits) in &log.victim_groups {
+                        self.extents.apply_evicts(g, bits);
+                    }
                     self.extents
-                        .note_fill_run(line.0, run, core as u32, self.set_shift);
-                    self.extents.note_evicts(&self.victims);
-                    self.victims.clear();
-                } else {
-                    *evictions += unsafe { self.caches.get_unchecked_mut(core) }.fill_run::<false>(
-                        line,
-                        run,
-                        pack(core, 0),
-                        &mut self.victims,
-                    );
+                        .note_fill_run(line.0, run.len(), &log.placed, core as u32);
                 }
             }
             key += n as u64;
@@ -843,8 +773,8 @@ impl MemorySystem {
             let spill = self
                 .extents
                 .note_fill(line.0, core as u32, slot >> self.set_shift);
-            if let Some((owner, way, bits)) = spill {
-                self.write_dir(line.0 >> GROUP_SHIFT, owner, way, bits);
+            if let Some((place, bits)) = spill {
+                self.write_placement(line.0 >> GROUP_SHIFT, place, bits);
             }
         }
         self.directory.insert(line.0, pack(core, slot));
@@ -927,9 +857,9 @@ impl MemorySystem {
     /// O(directory × cores); tests only.
     pub fn check_invariants(&self) {
         // Residency census: live directory entries, plus the synthesized
-        // entries of uniform groups' mask bits — whose directory entries
-        // may never have been written, because the summary word *is*
-        // their directory. Values are `(owner, way)`.
+        // entries of placed groups' mask bits — whose directory entries
+        // may never have been written, because the placement *is* their
+        // directory. Values are `(owner, way)`.
         let mut census: std::collections::HashMap<u64, (usize, u32)> =
             std::collections::HashMap::new();
         for (line, packed) in self.directory.iter() {
@@ -939,22 +869,26 @@ impl MemorySystem {
             }
         }
         if self.extents_on {
-            for (g, _, uniform, owner, way) in self.extents.iter_live() {
-                let (owner, mask) = (owner as usize, self.extents.group_mask(g));
-                for j in (0..GROUP_LINES).filter(|j| uniform && mask >> j & 1 != 0) {
+            for (g, mask, place) in self.extents.iter_live() {
+                if place.is_empty() {
+                    continue;
+                }
+                place.check(&format!("group {g} placement"));
+                for j in (0..GROUP_LINES).filter(|j| mask >> j & 1 != 0) {
+                    let (owner, way) = owner_way(place.get(j as usize));
                     let line = (g << GROUP_SHIFT) + j;
                     let slot = (way << self.set_shift) | (line & self.set_mask) as u32;
                     assert_eq!(
-                        self.caches[owner].tag_at(slot),
+                        self.caches[owner as usize].tag_at(slot),
                         line,
-                        "uniform group {g} line {line} absent from its implied slot"
+                        "placed group {g} line {line} absent from its implied slot"
                     );
                     // A directory entry may also be live (then it must
                     // agree); it can never disagree, by exclusivity.
-                    let prev = census.insert(line, (owner, way));
+                    let prev = census.insert(line, (owner as usize, way));
                     assert!(
-                        prev.is_none() || prev == Some((owner, way)),
-                        "line {line}: live directory entry disagrees with its uniform group"
+                        prev.is_none() || prev == Some((owner as usize, way)),
+                        "line {line}: live directory entry disagrees with its group's placement"
                     );
                 }
             }
@@ -981,48 +915,48 @@ impl MemorySystem {
             c.check_block_invariants();
         }
         if self.extents_on {
-            // The summaries' counts are exact, and the uniform bit is
-            // sound: whenever set, every live line of the group really is
-            // at the recorded (owner, way). The census is faithful
-            // residency (proven just above).
-            let mut groups: std::collections::HashMap<u64, Vec<(usize, u32)>> =
-                std::collections::HashMap::new();
+            // The residency masks are exact: every group's mask is the
+            // census of its resident lines (which proves every resident
+            // line's placement was checked above, or lives in the
+            // directory).
             let mut gbits: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
-            for (&line, &(owner, way)) in &census {
-                groups
-                    .entry(line >> GROUP_SHIFT)
-                    .or_default()
-                    .push((owner, way));
+            for &line in census.keys() {
                 *gbits.entry(line >> GROUP_SHIFT).or_default() |= 1u64 << (line & GROUP_MASK);
             }
             let mut summarized = 0usize;
-            for (g, count, uniform, owner, way) in self.extents.iter_live() {
+            for (g, mask, _) in self.extents.iter_live() {
                 summarized += 1;
-                let live = groups
-                    .get(&g)
-                    .unwrap_or_else(|| panic!("group {g} summarized live but has no lines"));
                 assert_eq!(
-                    live.len() as u32,
-                    count,
-                    "group {g} summary count != live lines"
-                );
-                assert_eq!(
-                    self.extents.group_mask(g),
-                    gbits[&g],
+                    Some(&mask),
+                    gbits.get(&g),
                     "group {g} residency mask != census bits"
                 );
-                if uniform {
-                    assert!(
-                        live.iter().all(|&(o, w)| o as u32 == owner && w == way),
-                        "group {g} uniform bit unsound: claims ({owner}, way {way}), lines {live:?}"
-                    );
-                }
             }
             assert_eq!(
                 summarized,
-                groups.len(),
+                gbits.len(),
                 "groups with live lines missing from the summaries"
             );
+        }
+    }
+}
+
+/// Write the directory entries of a fill of `span.len()` lines from
+/// `first` into `core`'s cache, whose stretches `placed` records as
+/// `(offset, way)`: each line's slot is its way over its set.
+fn write_entries(
+    span: &mut [u32],
+    first: u64,
+    placed: &[(u32, u32)],
+    core: usize,
+    set_shift: u32,
+    set_mask: u64,
+) {
+    for (i, &(o, way)) in placed.iter().enumerate() {
+        let end = placed.get(i + 1).map_or(span.len(), |&(e, _)| e as usize);
+        for (k, e) in span[o as usize..end].iter_mut().enumerate() {
+            let set = ((first + o as u64 + k as u64) & set_mask) as u32;
+            *e = pack(core, (way << set_shift) | set);
         }
     }
 }

@@ -23,10 +23,11 @@
 //!
 //! Steady-state touches cost O(ownership boundaries), not O(lines): an
 //! extent-grained residency summary over the directory ([`extent`])
-//! classifies whole 64-line groups in O(1) when they are wholly owned,
-//! wholly absent, or migrating wholesale, and the exact per-line walk
-//! remains both the fallback and the verification oracle
-//! (`SAIS_MEM_NO_EXTENTS=1` forces it everywhere, bit-identically).
+//! serves each 64-line group run by run — where its lines sit, and the
+//! caches' recency and tags, are bounded run lists (`runs`) — and the
+//! exact per-line walk remains both the fallback (a group placed in more
+//! than eight runs) and the verification oracle (`SAIS_MEM_NO_EXTENTS=1`
+//! forces it everywhere, bit-identically).
 
 pub mod addr;
 pub mod cache;
@@ -35,6 +36,7 @@ pub mod fxmap;
 pub mod hierarchy;
 mod linetab;
 pub mod params;
+mod runs;
 
 pub use addr::{AddrAlloc, AddrRange, LineAddr};
 pub use cache::SetAssocCache;

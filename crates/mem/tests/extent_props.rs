@@ -235,12 +235,75 @@ proptest! {
     }
 }
 
+proptest! {
+    /// The 3-Gig testbed's shape: two to four strips arrive at once (one
+    /// per bonded port), their interrupt chunks interleaved round-robin
+    /// on one consuming core, each chunk staying on the previous chunk's
+    /// core with probability 0.85. Between chunks come whole-strip reads
+    /// and cross-core migrations of a strip. Over 64- and 128-set caches
+    /// the strips' chunk edges share blocks, so block recency, strip tags
+    /// and group placements all carry several runs (and sometimes more
+    /// than eight). After every step the fast system must match the
+    /// oracle exactly and keep its invariants.
+    #[test]
+    fn interleaved_strip_chunks_match_reference(
+        sets in prop_oneof![Just(64usize), Just(128usize)],
+        assoc in 2usize..5,
+        together in 2usize..5,
+        steps in proptest::collection::vec((0u8..100, 0u8..12, 1usize..4, 1u64..9_000), 1..80)
+    ) {
+        const STRIP: u64 = 16 << 10;
+        let mut p = params_64_sets(assoc);
+        p.l2_bytes = p.line_size * (sets * assoc) as u64;
+        let line = p.line_size;
+        let ring = 8 * STRIP / line;
+        let mut fast = MemorySystem::new(4, p.clone());
+        let mut slow = MemorySystem::new(4, p);
+        // Per strip slot: byte cursor; strips are recycled round the ring.
+        let mut cursor = vec![0u64; together];
+        let mut base: Vec<u64> = (0..together as u64).collect();
+        let mut next = together as u64;
+        let (mut core, mut turn) = (0usize, 0usize);
+        for &(stay, kind, hop, size) in &steps {
+            let at = |slot: u64| slot % 8 * STRIP;
+            match kind {
+                0..=8 => {
+                    if stay >= 85 {
+                        core = (core + hop) % 4;
+                    }
+                    let k = turn % together;
+                    turn += 1;
+                    let size = size.min(STRIP - cursor[k]);
+                    let r = AddrRange::new(at(base[k]) + cursor[k], size);
+                    step(&mut fast, &mut slow, core, r, ring);
+                    cursor[k] += size;
+                    if cursor[k] == STRIP {
+                        step(&mut fast, &mut slow, core, AddrRange::new(at(base[k]), STRIP), ring);
+                        (base[k], cursor[k], next) = (next, 0, next + 1);
+                    }
+                }
+                9 | 10 => {
+                    let k = hop % together;
+                    step(&mut fast, &mut slow, core, AddrRange::new(at(base[k]), STRIP), ring);
+                }
+                _ => {
+                    let (k, other) = (hop % together, (core + hop) % 4);
+                    step(&mut fast, &mut slow, other, AddrRange::new(at(base[k]), STRIP), ring);
+                }
+            }
+        }
+        slow.check_invariants();
+    }
+}
+
 #[test]
-fn same_core_chunk_edges_take_the_split_path() {
+fn same_core_chunk_edges_stay_on_the_run_lists() {
     // The dominant SAIs shape: every chunk of a strip, and then its
-    // read, on one core. All five chunk edges of every strip split the
-    // cache block at the prefix fill and collapse it at the suffix,
-    // while the system stays bit-identical to the oracle.
+    // read, on one core. All five chunk edges of every strip are a
+    // prefix fill (splitting the block's recency runs), a boundary-line
+    // hit and a suffix fill (merging them back); no fill takes the
+    // per-set path and no line walks, while the system stays
+    // bit-identical to the oracle.
     let p = params_64_sets(2);
     let mut fast = MemorySystem::new(2, p.clone());
     let mut slow = MemorySystem::new(2, p);
@@ -268,7 +331,7 @@ fn same_core_chunk_edges_take_the_split_path() {
     let e = fast.extent_stats();
     let edges = strips * (chunks.len() as u64 - 1);
     assert_eq!(e.prefix_fills, edges, "{e:?}");
-    assert_eq!(e.split_fills, edges, "{e:?}");
+    assert_eq!(e.per_set_fills, 0, "{e:?}");
     assert_eq!(e.fallback_lines, 0, "{e:?}");
 }
 

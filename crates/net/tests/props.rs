@@ -161,15 +161,16 @@ proptest! {
         let mut rng = SimRng::new(seed);
         let mut now = SimTime::ZERO;
         let mut pipe: VecDeque<(SimTime, u64)> = VecDeque::new();
-        let push = |pipe: &mut VecDeque<(SimTime, u64)>, rng: &mut SimRng, now: SimTime, segs: Vec<sais_net::tcp::Segment>| {
-            for s in segs {
+        let push = |pipe: &mut VecDeque<(SimTime, u64)>, rng: &mut SimRng, now: SimTime, segs: &mut Vec<sais_net::tcp::Segment>| {
+            for s in segs.drain(..) {
                 if !rng.chance(loss) {
                     pipe.push_back((now + rtt, s.seq));
                 }
             }
         };
-        let first = snd.poll(now);
-        push(&mut pipe, &mut rng, now, first);
+        let mut segs = Vec::new();
+        snd.poll(now, &mut segs);
+        push(&mut pipe, &mut rng, now, &mut segs);
         let mut guard = 0u64;
         while !snd.done() {
             guard += 1;
@@ -179,20 +180,20 @@ proptest! {
                     let (t, seq) = pipe.pop_front().unwrap();
                     now = t;
                     let ack = rcv.on_segment(seq);
-                    let segs = snd.on_ack(now, ack);
-                    push(&mut pipe, &mut rng, now, segs);
+                    snd.on_ack(now, ack, &mut segs);
+                    push(&mut pipe, &mut rng, now, &mut segs);
                 }
                 (_, Some(d)) => {
                     now = d;
-                    let segs = snd.on_timeout(now);
-                    push(&mut pipe, &mut rng, now, segs);
+                    snd.on_timeout(now, &mut segs);
+                    push(&mut pipe, &mut rng, now, &mut segs);
                 }
                 (Some(_), None) => {
                     let (t, seq) = pipe.pop_front().unwrap();
                     now = t;
                     let ack = rcv.on_segment(seq);
-                    let segs = snd.on_ack(now, ack);
-                    push(&mut pipe, &mut rng, now, segs);
+                    snd.on_ack(now, ack, &mut segs);
+                    push(&mut pipe, &mut rng, now, &mut segs);
                 }
                 (None, None) => prop_assert!(false, "deadlock"),
             }
