@@ -37,7 +37,7 @@ pub use forensics::tail_report;
 pub use timeline::CoreTimeline;
 
 use crate::json::JsonValue;
-use crate::perfetto::span_slot;
+use crate::perfetto::{span_dur_ns, span_lane, span_parent, span_slot};
 use crate::span::FlightRecorder;
 use sais_sim::SimTime;
 
@@ -182,7 +182,17 @@ impl Trace {
             // rounding recovers the original values exactly for any
             // realistic sim time.
             let start_ns = (ts * 1000.0).round() as u64;
-            let end_ns = start_ns + (dur * 1000.0).round() as u64;
+            let end_ns = start_ns
+                .checked_add(span_dur_ns(id, dur)? as u64)
+                .filter(|&end| end != OPEN_NS)
+                .ok_or_else(|| format!("span {id} ends past u64 nanoseconds"))?;
+            let lane = |field| {
+                let lane = ev
+                    .get(field)
+                    .and_then(JsonValue::as_u64)
+                    .ok_or_else(|| format!("X event without {field}"))?;
+                span_lane(id, field, lane)
+            };
             let span = ASpan {
                 name: ev
                     .get("name")
@@ -194,21 +204,12 @@ impl Trace {
                     .and_then(JsonValue::as_str)
                     .ok_or("X event without cat")?
                     .to_string(),
-                parent: if parent >= 0.0 {
-                    Some(parent as usize)
-                } else {
-                    None
-                },
+                // An id past `usize` dangles, and is reported so below.
+                parent: span_parent(id, parent)?.map(|p| usize::try_from(p).unwrap_or(usize::MAX)),
                 start_ns,
                 end_ns,
-                pid: ev
-                    .get("pid")
-                    .and_then(JsonValue::as_u64)
-                    .ok_or("X event without pid")? as u32,
-                tid: ev
-                    .get("tid")
-                    .and_then(JsonValue::as_u64)
-                    .ok_or("X event without tid")? as u32,
+                pid: lane("pid")?,
+                tid: lane("tid")?,
                 args: args
                     .as_object()
                     .unwrap_or(&[])
@@ -352,6 +353,19 @@ mod tests {
             Trace::from_chrome_json(dup).unwrap_err(),
             "duplicate span id 0"
         );
+    }
+
+    /// `ts + dur` past `u64` nanoseconds overflowed, or read as an open
+    /// span.
+    #[test]
+    fn chrome_json_rejects_span_ends_past_u64() {
+        for ts in ["0.0", "1.0"] {
+            let doc = format!(
+                r#"{{"traceEvents": [{{"name": "a", "cat": "c", "ph": "X", "ts": {ts}, "dur": 1e300, "pid": 0, "tid": 0, "args": {{"id": 0, "parent": -1}}}}]}}"#
+            );
+            let err = Trace::from_chrome_json(&doc).unwrap_err();
+            assert_eq!(err, "span 0 ends past u64 nanoseconds");
+        }
     }
 
     #[test]

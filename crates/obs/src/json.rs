@@ -9,15 +9,19 @@
 //! per-token state machine. Two consumers drive it:
 //!
 //! * [`JsonValue::parse`] builds a document tree, for the trace analyzer,
-//!   the perf-history reader and tests;
+//!   `perf_gate` (its reading of `BENCHMARK.json` and of the benchmark's
+//!   result lines) and tests;
 //! * [`crate::perfetto::validate`] walks an exported trace's events and
-//!   keeps only the fields it checks. That check runs after every observed
-//!   benchmark run, so the reader is on a timed path: a string without
-//!   escapes is a slice of the input, found eight bytes at a time; a plain
-//!   key is compared for duplicates as that slice, and only when another
-//!   key of its object shares its bit in a 64-bit mask; and a number of up
-//!   to 15 digits without an exponent is computed exactly without
-//!   `str::parse`.
+//!   keeps only the fields it checks. It reads a span event laid out
+//!   exactly as the exporter writes it by comparing the layout's literal
+//!   fragments (`eat`) between values, and rewinds (`mark`, `rewind`) to
+//!   read any other event member by member. That check runs after every
+//!   observed benchmark run, so the reader is on a timed path: a string
+//!   without escapes is a slice of the input, found eight bytes at a time;
+//!   a plain key is compared for duplicates as that slice, and only when
+//!   another key of its object shares its bit in a 64-bit mask; and a
+//!   number of up to 15 digits without an exponent is computed exactly
+//!   without `str::parse`.
 //!
 //! Duplicate object keys are rejected: the exporters never produce them,
 //! and silently keeping the first (or last) would hide exporter bugs.
@@ -454,6 +458,29 @@ impl<'a> Cursor<'a> {
         })
     }
 
+    /// Step past `lit` if the input continues with it at the cursor;
+    /// otherwise consume nothing. `lit` is compared as bytes in one step:
+    /// no whitespace is skipped around or inside it.
+    pub(crate) fn eat(&mut self, lit: &str) -> bool {
+        let hit = self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes());
+        if hit {
+            self.pos += lit.len();
+        }
+        hit
+    }
+
+    /// The cursor's byte offset, to come back to with [`Cursor::rewind`].
+    pub(crate) fn mark(&self) -> usize {
+        self.pos
+    }
+
+    /// Move the cursor back to `at`, a [`Cursor::mark`] taken in the
+    /// same container: nothing read since may have stepped into or out
+    /// of one through `object` or `array`.
+    pub(crate) fn rewind(&mut self, at: usize) {
+        self.pos = at;
+    }
+
     /// Read the literal (`true`, `false` or `null`) at the cursor.
     pub(crate) fn literal(&mut self) -> Result<JsonValue, JsonError> {
         let (word, value) = match self.peek() {
@@ -553,7 +580,7 @@ fn quote_or_backslash(bytes: &[u8]) -> Option<usize> {
 
 /// A key's bit in an object's `seen` mask: equal keys share a bit, and
 /// the keys of a trace event and of its `args` all have distinct ones.
-fn key_bit(key: &str) -> u64 {
+pub(crate) fn key_bit(key: &str) -> u64 {
     let b = key.as_bytes();
     let (first, last) = (b.first().copied(), b.last().copied());
     let h = usize::from(first.unwrap_or(0)) * 31 + usize::from(last.unwrap_or(0)) + b.len() * 17;

@@ -13,26 +13,50 @@
 //! Export and [`validate`] run after every observed run, so both cost
 //! O(bytes) with no allocation per event. The exporter writes every event
 //! straight into one pre-sized `String` by hand: literals as slices,
-//! integers through the crate's decimal writer, `ts` through an exact µs
-//! writer, and only `dur` through `{:?}`. The validator walks the events
-//! with the cursor in [`crate::json`], keeping per event only the fields
-//! it checks.
+//! integers through the crate's decimal writer, and `ts` and `dur` through
+//! an exact µs writer (`dur` is the span's length in nanoseconds, written
+//! as such, not a difference of two rounded floats).
+//!
+//! The validator walks the events with the cursor in [`crate::json`],
+//! keeping per event only the fields it checks. A span event is read
+//! first by a matcher for the exact layout the exporter writes: the
+//! layout's literal fragments (the `SPAN_*` constants, which the writer
+//! uses too) are compared one step each, and only the values between
+//! them are read, by the cursor's own `string` and `number`. At the first
+//! difference (other whitespace, another key order, an escaped key, a
+//! repeated `args` key, a value of another kind) the cursor rewinds to
+//! the event's first byte and reads it member by member, so every error
+//! and its byte offset still comes from that general reader.
 
-use crate::json::{exact_u64, write_json_string, write_u64, Cursor, JsonError, Kind};
+use crate::json::{exact_u64, key_bit, write_json_string, write_u64, Cursor, JsonError, Kind};
 use crate::span::{FlightRecorder, SpanId};
 use sais_sim::SimTime;
 use std::fmt::Write;
 use std::path::Path;
 
-/// Microseconds-as-f64 for a sim instant (Chrome's `ts` unit).
-fn ts_us(t: SimTime) -> f64 {
-    t.as_nanos() as f64 / 1000.0
-}
+// A span event's layout, as `to_chrome_json` writes it and `match_span`
+// reads it:
+// `{"name": <str>, "cat": <str>, "ph": "X", "ts": <num>, "dur": <num>,
+// "pid": <num>, "tid": <num>, "args": {"id": <num>, "parent": <num>
+// (, <key>: <num>)*}}`, one space after each `:` and `,`.
+const SPAN_NAME: &str = "{\"name\": ";
+const SPAN_CAT: &str = ", \"cat\": ";
+const SPAN_TS: &str = ", \"ph\": \"X\", \"ts\": ";
+const SPAN_DUR: &str = ", \"dur\": ";
+const SPAN_PID: &str = ", \"pid\": ";
+const SPAN_TID: &str = ", \"tid\": ";
+const SPAN_ID: &str = ", \"args\": {\"id\": ";
+const SPAN_PARENT: &str = ", \"parent\": ";
+/// Before each further `args` key.
+const ARG_SEP: &str = ", ";
+/// Between a further `args` key and its value.
+const ARG_COLON: &str = ": ";
+const SPAN_END: &str = "}}";
 
 /// Below this many nanoseconds [`write_ts_us`] writes the decimal itself.
 const EXACT_TS_NS: u64 = 1_000_000_000_000_000;
 
-/// Append `{:?}` of `ns as f64 / 1000.0` (Chrome's `ts`). Below
+/// Append `{:?}` of `ns as f64 / 1000.0` (Chrome's `ts` and `dur`). Below
 /// [`EXACT_TS_NS`] the exact decimal `ns / 1000` has at most 15
 /// significant digits, and every decimal that short is the shortest
 /// string parsing back to its own f64, which is what `{:?}` prints
@@ -108,35 +132,39 @@ pub fn to_chrome_json(rec: &FlightRecorder) -> String {
             s.end
         };
         out.push_str(sep);
-        out.push_str("{\"name\": ");
+        out.push_str(SPAN_NAME);
         write_json_string(s.name, &mut out);
-        out.push_str(", \"cat\": ");
+        out.push_str(SPAN_CAT);
         write_json_string(s.cat, &mut out);
-        out.push_str(", \"ph\": \"X\", \"ts\": ");
+        out.push_str(SPAN_TS);
         write_ts_us(s.start.as_nanos(), &mut out);
-        // `dur` is the difference of the two rounded µs floats, which
-        // needs the general float printer. Writing to a `String` cannot
-        // fail.
-        let _ = write!(out, ", \"dur\": {:?}", ts_us(end) - ts_us(s.start));
-        out.push_str(", \"pid\": ");
+        out.push_str(SPAN_DUR);
+        // The span's length, exactly; a span closed before it began
+        // exports its negative length, which `validate` rejects.
+        let (start, end) = (s.start.as_nanos(), end.as_nanos());
+        if end < start {
+            out.push('-');
+        }
+        write_ts_us(end.abs_diff(start), &mut out);
+        out.push_str(SPAN_PID);
         write_u64(s.pid.into(), &mut out);
-        out.push_str(", \"tid\": ");
+        out.push_str(SPAN_TID);
         write_u64(s.tid.into(), &mut out);
-        out.push_str(", \"args\": {\"id\": ");
+        out.push_str(SPAN_ID);
         write_u64(i as u64, &mut out);
-        out.push_str(", \"parent\": ");
+        out.push_str(SPAN_PARENT);
         if s.parent == SpanId::NONE {
             out.push_str("-1");
         } else {
             write_u64(s.parent.0.into(), &mut out);
         }
         for (k, v) in s.args.iter().filter(|(k, _)| !k.is_empty()) {
-            out.push_str(", ");
+            out.push_str(ARG_SEP);
             write_json_string(k, &mut out);
-            out.push_str(": ");
+            out.push_str(ARG_COLON);
             write_u64(*v, &mut out);
         }
-        out.push_str("}}");
+        out.push_str(SPAN_END);
         sep = ",\n";
     }
     for ev in rec.instants() {
@@ -193,7 +221,7 @@ enum Phase {
 
 /// What [`validate`] checks of one `traceEvents` entry. An entry that is
 /// not an object reads as one with no fields.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 struct EventRecord {
     ph: Phase,
     /// Whether `name` is a string.
@@ -242,7 +270,14 @@ fn read_events(text: &str) -> Result<Option<Vec<EventRecord>>, JsonError> {
             let mut records = Vec::new();
             cur.array(|cur| {
                 records.push(if cur.kind()? == Kind::Object {
-                    read_event(cur)?
+                    let at = cur.mark();
+                    match match_span(cur) {
+                        Some(ev) => ev,
+                        None => {
+                            cur.rewind(at);
+                            read_event(cur)?
+                        }
+                    }
                 } else {
                     cur.skip()?;
                     EventRecord::default()
@@ -274,6 +309,61 @@ fn is_str(cur: &mut Cursor<'_>) -> Result<bool, JsonError> {
     let is = cur.kind()? == Kind::Str;
     cur.skip()?;
     Ok(is)
+}
+
+/// Read the span event at the cursor if it is laid out exactly as
+/// [`to_chrome_json`] writes it (the `SPAN_*` fragments); `None` at the
+/// first difference, with the cursor anywhere inside the event. When it
+/// returns a record, [`read_event`] would have read the same one and left
+/// the cursor in the same place.
+///
+/// The two objects it steps into are not counted against the cursor's
+/// depth limit: events sit at depth 2, far below it.
+fn match_span(cur: &mut Cursor<'_>) -> Option<EventRecord> {
+    let string_after = |cur: &mut Cursor<'_>, lit: &str| {
+        (cur.eat(lit) && cur.kind() == Ok(Kind::Str) && cur.string().is_ok()).then_some(())
+    };
+    let number_after = |cur: &mut Cursor<'_>, lit: &str| {
+        (cur.eat(lit) && cur.kind() == Ok(Kind::Num))
+            .then(|| cur.number().ok())
+            .flatten()
+    };
+    string_after(cur, SPAN_NAME)?;
+    string_after(cur, SPAN_CAT)?;
+    let ts = number_after(cur, SPAN_TS)?;
+    let dur = number_after(cur, SPAN_DUR)?;
+    let pid = number_after(cur, SPAN_PID)?;
+    let tid = number_after(cur, SPAN_TID)?;
+    let id = number_after(cur, SPAN_ID)?;
+    let parent = number_after(cur, SPAN_PARENT)?;
+    // Further `args` keys must be plain and new. Equal keys share a
+    // bit, so a key whose bit is taken may repeat one and goes to
+    // `read_event`, which decides.
+    let mut seen = key_bit("id") | key_bit("parent");
+    while cur.eat(ARG_SEP) {
+        if cur.kind() != Ok(Kind::Str) {
+            return None;
+        }
+        let from = cur.mark();
+        let (len, bit) = cur.string().map(|k| (k.len(), key_bit(k))).ok()?;
+        // Only an escape makes a key's text longer than its quotes and it.
+        if cur.mark() - from != len + 2 || seen & bit != 0 {
+            return None;
+        }
+        seen |= bit;
+        number_after(cur, ARG_COLON)?;
+    }
+    cur.eat(SPAN_END).then(|| EventRecord {
+        ph: Phase::Span,
+        name: true,
+        cat: true,
+        pid: exact_u64(pid),
+        tid: exact_u64(tid),
+        ts: Some(ts),
+        dur: Some(dur),
+        id: exact_u64(id),
+        parent: Some(parent),
+    })
 }
 
 /// Read the event object at the cursor.
@@ -325,6 +415,30 @@ pub(crate) fn span_slot<T>(slots: &mut [Option<T>], id: u64) -> Result<&mut Opti
     Ok(slot)
 }
 
+/// Span `id`'s `dur` in nanoseconds: a span cannot end before it begins.
+pub(crate) fn span_dur_ns(id: u64, dur: f64) -> Result<f64, String> {
+    if dur < 0.0 {
+        return Err(format!("span {id} has negative dur {dur}"));
+    }
+    Ok((dur * 1000.0).round())
+}
+
+/// Span `id`'s parent id from its `args.parent`: `None` for -1 (a root),
+/// an error for anything but -1 or an exact id.
+pub(crate) fn span_parent(id: u64, parent: f64) -> Result<Option<u64>, String> {
+    if parent == -1.0 {
+        return Ok(None);
+    }
+    exact_u64(parent)
+        .map(Some)
+        .ok_or_else(|| format!("span {id} has parent {parent}, neither -1 nor a span id"))
+}
+
+/// Span `id`'s `pid` or `tid` (`field`), which the recorder keeps as `u32`.
+pub(crate) fn span_lane(id: u64, field: &str, lane: u64) -> Result<u32, String> {
+    u32::try_from(lane).map_err(|_| format!("span {id} has {field} {lane}, past u32"))
+}
+
 /// The semantic checks of [`validate`], over a fully read document.
 fn check_events(events: &[EventRecord]) -> Result<TraceStats, String> {
     // First pass: collect span intervals by id.
@@ -332,11 +446,11 @@ fn check_events(events: &[EventRecord]) -> Result<TraceStats, String> {
     for ev in events.iter().filter(|ev| ev.ph == Phase::Span) {
         let id = ev.id.ok_or("X event without args.id")?;
         let ts = ev.ts.ok_or("X event without ts")?;
-        let dur = ev.dur.ok_or("X event without dur")?;
+        let dur = span_dur_ns(id, ev.dur.ok_or("X event without dur")?)?;
         // `ts` and `dur` are µs floats of whole nanoseconds, and `ts + dur`
         // can round past a parent's end: compare the nanoseconds they encode.
         let start = (ts * 1000.0).round();
-        *span_slot(&mut intervals, id)? = Some((start, start + (dur * 1000.0).round()));
+        *span_slot(&mut intervals, id)? = Some((start, start + dur));
     }
     let mut stats = TraceStats::default();
     for ev in events {
@@ -347,28 +461,25 @@ fn check_events(events: &[EventRecord]) -> Result<TraceStats, String> {
             Phase::Other(other) => return Err(format!("unexpected ph {other:?}")),
             Phase::Span => {
                 stats.spans += 1;
-                for (field, ok) in [
-                    ("name", ev.name),
-                    ("cat", ev.cat),
-                    ("pid", ev.pid.is_some()),
-                    ("tid", ev.tid.is_some()),
-                ] {
+                for (field, ok) in [("name", ev.name), ("cat", ev.cat)] {
                     if !ok {
                         return Err(format!("X event without {field}"));
                     }
                 }
                 // The first pass checked the id and filled its slot.
-                let id = ev.id.expect("span ids are checked first") as usize;
+                let id = ev.id.expect("span ids are checked first");
+                for (field, lane) in [("pid", ev.pid), ("tid", ev.tid)] {
+                    let lane = lane.ok_or_else(|| format!("X event without {field}"))?;
+                    span_lane(id, field, lane)?;
+                }
                 let parent = ev.parent.ok_or("X event without args.parent")?;
-                if parent >= 0.0 {
+                if let Some(pid) = span_parent(id, parent)? {
                     stats.child_spans += 1;
-                    let pid = parent as usize;
-                    let (pts, pend) = intervals
-                        .get(pid)
-                        .copied()
-                        .flatten()
+                    let (pts, pend) = usize::try_from(pid)
+                        .ok()
+                        .and_then(|p| intervals.get(p).copied().flatten())
                         .ok_or_else(|| format!("span {id} has dangling parent {pid}"))?;
-                    let (ts, end) = intervals[id].expect("collected in first pass");
+                    let (ts, end) = intervals[id as usize].expect("collected in first pass");
                     // Children nest within their parent.
                     if ts < pts || end > pend {
                         return Err(format!(
@@ -519,6 +630,82 @@ mod tests {
             .unwrap_err()
             .contains("out of range"));
         assert_eq!(validate(&one_span("0")).unwrap().spans, 1);
+    }
+
+    /// A root span 0 and its child 1, with the child's `dur`, `pid`, `tid`
+    /// and `args.parent` as given.
+    fn child_span(dur: &str, pid: &str, tid: &str, parent: &str) -> String {
+        format!(
+            r#"{{"traceEvents": [
+            {{"name": "p", "cat": "c", "ph": "X", "ts": 0.0, "dur": 10.0, "pid": 0, "tid": 0, "args": {{"id": 0, "parent": -1}}}},
+            {{"name": "k", "cat": "c", "ph": "X", "ts": 1.0, "dur": {dur}, "pid": {pid}, "tid": {tid}, "args": {{"id": 1, "parent": {parent}}}}}
+            ]}}"#
+        )
+    }
+
+    /// `validate` and the analyzer's reader both reject `doc` with an
+    /// error containing `want`.
+    fn both_reject(doc: &str, want: &str) {
+        let err = validate(doc).unwrap_err();
+        assert!(err.contains(want), "validate: {err}");
+        let err = crate::analyze::Trace::from_chrome_json(doc).unwrap_err();
+        assert!(err.contains(want), "analyzer: {err}");
+    }
+
+    #[test]
+    fn strict_fields_accept_the_exporters_values() {
+        for parent in ["0", "-1", "-1.0"] {
+            let doc = child_span("2.5", "4294967295", "0", parent);
+            assert_eq!(validate(&doc).unwrap().spans, 2, "parent {parent}");
+            crate::analyze::Trace::from_chrome_json(&doc).unwrap();
+        }
+    }
+
+    /// A fractional parent was read as the span it truncates to.
+    #[test]
+    fn fractional_parents_are_rejected() {
+        both_reject(
+            &child_span("1.0", "0", "0", "0.5"),
+            "span 1 has parent 0.5, neither -1 nor a span id",
+        );
+    }
+
+    /// A negative parent other than -1 was read as a root.
+    #[test]
+    fn negative_parents_other_than_minus_one_are_rejected() {
+        both_reject(
+            &child_span("1.0", "0", "0", "-7"),
+            "span 1 has parent -7, neither -1 nor a span id",
+        );
+    }
+
+    /// A negative `dur` passed `validate` and became a zero-length span in
+    /// the analyzer; a span closed before it began exports one.
+    #[test]
+    fn negative_durations_are_rejected() {
+        both_reject(
+            &child_span("-0.5", "0", "0", "0"),
+            "span 1 has negative dur -0.5",
+        );
+        let mut r = FlightRecorder::enabled(4);
+        let s = r.begin(SimTime::from_nanos(9_650), "s", "c", 0, 0, SpanId::NONE);
+        r.end(s, SimTime::from_nanos(1_000));
+        let json = to_chrome_json(&r);
+        assert!(json.contains("\"dur\": -8.65,"), "{json}");
+        both_reject(&json, "span 0 has negative dur -8.65");
+    }
+
+    /// The analyzer cast a `pid` past `u32` down to its low bits.
+    #[test]
+    fn lanes_past_u32_are_rejected() {
+        both_reject(
+            &child_span("1.0", "4294967297", "0", "0"),
+            "span 1 has pid 4294967297, past u32",
+        );
+        both_reject(
+            &child_span("1.0", "0", "4294967296", "0"),
+            "span 1 has tid 4294967296, past u32",
+        );
     }
 
     #[test]
