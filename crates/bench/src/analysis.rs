@@ -2,16 +2,15 @@
 //!
 //! Runs the observability demo under two steering policies with the
 //! flight recorder on, feeds both traces through `sais_obs::analyze`, and
-//! writes the full report set (per-request blame CSVs, an aggregate blame
-//! summary, the policy diff, per-core timelines and tail forensics) to a
-//! directory. This is the engine behind `trace_analyze` and the
-//! `--analyze <dir>` flag on the figure binaries, and the code path CI
-//! uses to assert the paper's causal claim mechanically: under SAIs the
+//! writes the full report set (each run's Perfetto trace and metric
+//! snapshot, per-request blame CSVs, an aggregate blame summary, the
+//! policy diff, per-core timelines and tail forensics) to a directory.
+//! This is the engine behind `trace_analyze`, and the code path CI uses
+//! to assert the paper's causal claim mechanically: under SAIs the
 //! `migration_stall` blame share is exactly zero, under balanced steering
 //! it is not.
 
-use crate::harness::observability_demo_config;
-use sais_core::scenario::{FaultPlan, PolicyChoice, ScenarioConfig};
+use sais_core::scenario::{FaultPlan, ObsConfig, PolicyChoice, ScenarioConfig};
 use sais_obs::analyze::{
     blame_requests, diff_blames, tail_report, BlameCategory, BlameTable, CoreTimeline,
     RequestBlame, Trace, TraceDiff, CATEGORIES,
@@ -33,10 +32,16 @@ pub const TAIL_QUANTILE: f64 = 0.999;
 /// Outliers shown per forensics report.
 pub const TAIL_MAX_SHOWN: usize = 8;
 
-/// The demo scenario under a specific steering policy (same scenario and
-/// seed for every policy, so traces align request by request).
+/// The fully instrumented demo scenario under a specific steering
+/// policy: the paper's 3-Gigabit testbed shrunk to seconds of host time,
+/// with spans, stage histograms and the telemetry sampler on. The
+/// scenario and seed are the same for every policy, so traces align
+/// request by request.
 pub fn demo_config(policy: PolicyChoice) -> ScenarioConfig {
-    observability_demo_config().with_policy(policy)
+    let mut cfg = ScenarioConfig::testbed_3gig(8, 512 << 10);
+    cfg.file_size = 4 << 20;
+    cfg.with_policy(policy)
+        .with_observability(ObsConfig::full())
 }
 
 /// The demo scenario with an option-stripping middlebox on every flow —
@@ -80,6 +85,11 @@ pub struct PolicyReport {
     pub verdicts: Vec<TelemetryVerdict>,
     /// Telemetry windows the run retained (0 for trace artifacts).
     pub telemetry_windows: usize,
+    /// The run's Perfetto `trace_event` JSON (empty for trace artifacts).
+    pub trace_json: String,
+    /// The run's `sais-metrics-snapshot/v1` JSON (empty for trace
+    /// artifacts).
+    pub metrics_json: String,
 }
 
 /// Run the demo scenario under `policy` and analyze its trace. Panics if
@@ -101,6 +111,8 @@ pub fn analyze_config(cfg: ScenarioConfig, bins: usize) -> PolicyReport {
         .unwrap_or_else(|e| panic!("{} trace failed integrity check: {e}", policy.label()));
     let trace = Trace::from_recorder(cluster.recorder());
     let mut report = analyze_trace(policy, trace, bins);
+    report.trace_json = sais_obs::perfetto::to_chrome_json(cluster.recorder());
+    report.metrics_json = cluster.snapshot_metrics(run.wall_time).to_json();
     report.verdicts = run.telemetry_verdicts;
     report.telemetry_windows = run.telemetry.len();
     report
@@ -119,6 +131,8 @@ pub fn analyze_trace(policy: PolicyChoice, trace: Trace, bins: usize) -> PolicyR
         timeline,
         verdicts: Vec::new(),
         telemetry_windows: 0,
+        trace_json: String::new(),
+        metrics_json: String::new(),
     }
 }
 
@@ -201,7 +215,7 @@ pub fn summary_text(label: &str, t: &BlameTable) -> String {
 pub fn write_reports(dir: &Path, a: &DemoAnalysis) -> std::io::Result<Vec<PathBuf>> {
     fs::create_dir_all(dir)?;
     let mut written = Vec::new();
-    let mut put = |name: String, body: String| -> std::io::Result<()> {
+    let mut put = |name: String, body: &str| -> std::io::Result<()> {
         let path = dir.join(name);
         fs::write(&path, body)?;
         written.push(path);
@@ -209,20 +223,22 @@ pub fn write_reports(dir: &Path, a: &DemoAnalysis) -> std::io::Result<Vec<PathBu
     };
     for r in [&a.base, &a.cand] {
         let label = r.policy.label();
+        put(format!("trace_{label}.json"), &r.trace_json)?;
+        put(format!("metrics_{label}.json"), &r.metrics_json)?;
         put(
             format!("blame_{label}.csv"),
-            sais_obs::analyze::blame::to_csv(&r.blames),
+            &sais_obs::analyze::blame::to_csv(&r.blames),
         )?;
-        put(format!("timeline_{label}.csv"), r.timeline.to_csv())?;
-        put(format!("timeline_{label}.txt"), r.timeline.render())?;
+        put(format!("timeline_{label}.csv"), &r.timeline.to_csv())?;
+        put(format!("timeline_{label}.txt"), &r.timeline.render())?;
         put(
             format!("forensics_{label}.txt"),
-            tail_report(&r.blames, TAIL_QUANTILE, TAIL_MAX_SHOWN),
+            &tail_report(&r.blames, TAIL_QUANTILE, TAIL_MAX_SHOWN),
         )?;
     }
     put(
         "blame_summary.csv".into(),
-        summary_csv(&[
+        &summary_csv(&[
             (a.base.policy.label(), &a.base.table),
             (a.cand.policy.label(), &a.cand.table),
         ]),
@@ -233,7 +249,7 @@ pub fn write_reports(dir: &Path, a: &DemoAnalysis) -> std::io::Result<Vec<PathBu
             a.base.policy.label(),
             a.cand.policy.label()
         ),
-        a.diff.to_csv(),
+        &a.diff.to_csv(),
     )?;
     Ok(written)
 }
@@ -273,6 +289,7 @@ mod tests {
         assert_eq!(a.file_size, b.file_size);
         assert_ne!(a.policy, b.policy);
         a.validate().expect("demo config validates");
+        assert!(a.obs.spans && a.obs.stages && a.obs.timeseries);
     }
 
     #[test]

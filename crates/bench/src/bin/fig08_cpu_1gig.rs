@@ -1,4 +1,4 @@
-//! Regenerate one experiment: `cargo run --release -p sais-bench --bin fig08_cpu_1gig [--quick|--full] [--trace <path>] [--metrics <path>]`.
+//! Regenerate one experiment: `cargo run --release -p sais-bench --bin fig08_cpu_1gig [--quick|--full] [--obs <dir>]`.
 fn main() {
     let args = sais_bench::BenchArgs::parse();
     sais_bench::figures::fig08_cpu_1gig(args.scale);

@@ -1,4 +1,4 @@
-//! Regenerate one experiment: `cargo run --release -p sais-bench --bin fig11_unhalted_3gig [--quick|--full] [--trace <path>] [--metrics <path>]`.
+//! Regenerate one experiment: `cargo run --release -p sais-bench --bin fig11_unhalted_3gig [--quick|--full] [--obs <dir>]`.
 fn main() {
     let args = sais_bench::BenchArgs::parse();
     sais_bench::figures::fig11_unhalted_3gig(args.scale);

@@ -1,4 +1,4 @@
-//! Regenerate one experiment: `cargo run --release -p sais-bench --bin fig14_memory_sim [--quick|--full] [--trace <path>] [--metrics <path>]`.
+//! Regenerate one experiment: `cargo run --release -p sais-bench --bin fig14_memory_sim [--quick|--full] [--obs <dir>]`.
 fn main() {
     let args = sais_bench::BenchArgs::parse();
     sais_bench::figures::fig14_memory_sim(args.scale);

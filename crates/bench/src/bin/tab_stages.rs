@@ -1,4 +1,4 @@
-//! Regenerate one experiment: `cargo run --release -p sais-bench --bin tab_stages [--quick|--full] [--trace <path>] [--metrics <path>]`.
+//! Regenerate one experiment: `cargo run --release -p sais-bench --bin tab_stages [--quick|--full] [--obs <dir>]`.
 fn main() {
     let args = sais_bench::BenchArgs::parse();
     sais_bench::figures::tab_stages(args.scale);

@@ -7,12 +7,13 @@
 //! ```
 //!
 //! With no `--input`, the instrumented demo scenario is run in-process
-//! under both policies and the full report set (blame CSVs, aggregate
-//! summary, request-aligned diff, timelines, forensics) is written to the
-//! output directory. With `--input`, a Chrome/Perfetto `trace_event` JSON
-//! artifact (as written by `--trace` on any figure binary) is analyzed on
-//! its own — no diff, since a single artifact has nothing to align
-//! against.
+//! under both policies and the full report set is written to the output
+//! directory: per policy, the Perfetto trace (`trace_<policy>.json`), the
+//! metric snapshot (`metrics_<policy>.json`), blame CSVs, timelines and
+//! forensics; plus the aggregate summary and the request-aligned diff.
+//! With `--input`, a Chrome/Perfetto `trace_event` JSON artifact (such as
+//! a `trace_<policy>.json` from demo mode) is analyzed on its own — no
+//! diff, since a single artifact has nothing to align against.
 //!
 //! stdout carries only the aggregate blame-summary CSV, so
 //! `trace_analyze | ...` pipes machine-clean data; human-readable tables

@@ -24,7 +24,7 @@ use std::time::Instant;
 /// Per-worker counters, accumulated across every pool this process runs.
 /// Always on: the counters are a handful of adds per *task* (a task is an
 /// entire simulation run), so there is no off switch to get wrong — under
-/// `--profile` they feed the hostprof executor section.
+/// `--obs` they feed the hostprof executor section.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerCounters {
     /// Tasks this worker ran.

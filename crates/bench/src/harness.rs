@@ -1,10 +1,10 @@
 //! Sweep execution, multi-seed averaging and result output.
 
-use sais_core::scenario::{ObsConfig, PolicyChoice, RunMetrics, ScenarioConfig};
+use sais_core::scenario::{PolicyChoice, RunMetrics, ScenarioConfig};
 use sais_metrics::{Table, Welford};
 use sais_obs::ProgressMeter;
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// How big to run the experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,96 +46,65 @@ impl Scale {
 pub struct BenchArgs {
     /// Experiment scale (`--quick` / `--full`; defaults to [`Scale::Default`]).
     pub scale: Scale,
-    /// `--trace <path>`: after the figure, run the flight-recorder demo
-    /// scenario and write a Chrome/Perfetto `trace_event` JSON there.
-    pub trace: Option<PathBuf>,
-    /// `--metrics <path>`: after the figure, write a metric snapshot of the
-    /// demo scenario there (CSV if the path ends in `.csv`, JSON otherwise).
-    pub metrics: Option<PathBuf>,
-    /// `--analyze <dir>`: after the figure, run the two-policy demo trace
-    /// analysis (RoundRobin vs SAIs) and write the report set there.
-    pub analyze: Option<PathBuf>,
-    /// `--timeseries <path>`: enable the windowed telemetry sampler on
-    /// every sweep cell (bit-inert — the figure CSV does not move) and
-    /// write the aggregated `sais-timeseries/v1` JSONL there; sparklines
-    /// go to stderr. Binaries without a sweep grid export the demo
-    /// scenario's series instead.
-    pub timeseries: Option<PathBuf>,
-    /// `--profile <path>`: enable the host-side zone profiler
-    /// ([`sais_prof`]) for the whole run and write the
-    /// `sais-hostprof/v2` report there (plus collapsed stacks next to it
-    /// and a top-N self-time table on stderr). Bit-inert: the profiler
-    /// only reads host clocks, so every CSV and JSONL is byte-identical
-    /// with or without it — CI pins this.
-    pub profile: Option<PathBuf>,
+    /// `--obs <dir>`: observe the figure's own run. Every sweep cell
+    /// samples windowed telemetry and the host zone profiler is on; after
+    /// the figure, `timeseries.jsonl` (`sais-timeseries/v1`),
+    /// `hostprof.json` (`sais-hostprof/v2`) and `hostprof.folded` land in
+    /// the directory. Bit-inert: the figure CSV does not move (CI pins
+    /// this). Demo-scenario traces, metric snapshots and blame reports are
+    /// `trace_analyze`'s.
+    pub obs: Option<PathBuf>,
 }
 
-const BENCH_USAGE: &str =
-    "usage: <figure-bin> [--quick | --full] [--trace <path>] [--metrics <path>] [--analyze <dir>] [--timeseries <path>] [--profile <path>]\n\
-  --quick           64 MB files, 1 seed (fast smoke run)\n\
-  --full            1 GB files, 3 seeds (paper scale)\n\
-  --trace <path>    write a Perfetto trace of the demo scenario\n\
-  --metrics <path>  write a metric snapshot (.csv => CSV, else JSON)\n\
-  --analyze <dir>   write trace-analysis reports (blame/diff/timeline/forensics)\n\
-  --timeseries <path>  write the windowed telemetry series as sais-timeseries/v1 JSONL\n\
-  --profile <path>  write the host-side zone profile as sais-hostprof/v2 JSON (+ .folded stacks)";
+const BENCH_USAGE: &str = "usage: <figure-bin> [--quick | --full] [--obs <dir>]\n\
+  --quick      64 MB files, 1 seed (fast smoke run)\n\
+  --full       1 GB files, 3 seeds (paper scale)\n\
+  --obs <dir>  write the run's telemetry series and host profile into <dir>";
+
+/// The telemetry series `--obs` writes into its directory.
+const OBS_TIMESERIES: &str = "timeseries.jsonl";
+
+/// The host profile `--obs` writes into its directory (collapsed stacks
+/// go next to it with the extension `.folded`).
+const OBS_HOSTPROF: &str = "hostprof.json";
 
 impl BenchArgs {
     /// Parse `std::env::args()`, exiting with code 2 and a usage message on
-    /// any unknown or malformed flag.
+    /// any unknown or malformed flag, and with code 1 if the `--obs`
+    /// directory cannot be created: both before any simulation runs.
     pub fn parse() -> BenchArgs {
-        match Self::try_parse(std::env::args().skip(1)) {
-            Ok(args) => {
-                crate::timeseries::set_collection_active(args.timeseries.is_some());
-                // Turn the zone profiler on before any simulation runs so
-                // the whole figure is covered.
-                sais_prof::set_enabled(args.profile.is_some());
-                args
-            }
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                eprintln!("{BENCH_USAGE}");
-                std::process::exit(2);
+        let args = Self::try_parse(std::env::args().skip(1)).unwrap_or_else(|msg| {
+            eprintln!("error: {msg}");
+            eprintln!("{BENCH_USAGE}");
+            std::process::exit(2);
+        });
+        if let Some(dir) = &args.obs {
+            if let Err(e) = fs::create_dir_all(dir) {
+                eprintln!("error: cannot create {}: {e}", dir.display());
+                std::process::exit(1);
             }
         }
+        crate::timeseries::set_collection_active(args.obs.is_some());
+        // Turn the zone profiler on before any simulation runs so the
+        // whole figure is covered.
+        sais_prof::set_enabled(args.obs.is_some());
+        args
     }
 
     /// Strict parse of an argument list (testable core of [`BenchArgs::parse`]).
     pub fn try_parse(args: impl IntoIterator<Item = String>) -> Result<BenchArgs, String> {
         let mut out = BenchArgs {
             scale: Scale::Default,
-            trace: None,
-            metrics: None,
-            analyze: None,
-            timeseries: None,
-            profile: None,
+            obs: None,
         };
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
             match arg.as_str() {
                 "--quick" => out.scale = Scale::Quick,
                 "--full" => out.scale = Scale::Full,
-                "--trace" => {
-                    let path = it.next().ok_or("`--trace` requires a path argument")?;
-                    out.trace = Some(PathBuf::from(path));
-                }
-                "--metrics" => {
-                    let path = it.next().ok_or("`--metrics` requires a path argument")?;
-                    out.metrics = Some(PathBuf::from(path));
-                }
-                "--analyze" => {
-                    let path = it
-                        .next()
-                        .ok_or("`--analyze` requires a directory argument")?;
-                    out.analyze = Some(PathBuf::from(path));
-                }
-                "--timeseries" => {
-                    let path = it.next().ok_or("`--timeseries` requires a path argument")?;
-                    out.timeseries = Some(PathBuf::from(path));
-                }
-                "--profile" => {
-                    let path = it.next().ok_or("`--profile` requires a path argument")?;
-                    out.profile = Some(PathBuf::from(path));
+                "--obs" => {
+                    let dir = it.next().ok_or("`--obs` requires a directory argument")?;
+                    out.obs = Some(PathBuf::from(dir));
                 }
                 other => return Err(format!("unknown argument `{other}`")),
             }
@@ -143,76 +112,16 @@ impl BenchArgs {
         Ok(out)
     }
 
-    /// Write the requested observability artifacts (no-op when none of
-    /// `--trace` / `--metrics` / `--analyze` was given). See
-    /// [`write_observability`] and [`crate::analysis::write_reports`].
+    /// Write the `--obs` artifacts of the run that just finished (no-op
+    /// without `--obs`). The profile goes last, so it covers the
+    /// telemetry export too.
     pub fn emit_observability(&self) {
-        if self.trace.is_some() || self.metrics.is_some() {
-            write_observability(self.trace.as_deref(), self.metrics.as_deref());
-        }
-        if let Some(path) = &self.timeseries {
-            sais_prof::zone!("export.timeseries");
-            crate::timeseries::write_timeseries(path);
-        }
-        if let Some(dir) = &self.analyze {
-            sais_prof::zone!("export.analyze");
-            let a = crate::analysis::analyze_demo(
-                PolicyChoice::RoundRobin,
-                PolicyChoice::SourceAware,
-                crate::analysis::TIMELINE_BINS,
-            );
-            match crate::analysis::write_reports(dir, &a) {
-                Ok(files) => {
-                    for f in files {
-                        eprintln!("[report] {}", f.display());
-                    }
-                }
-                Err(e) => eprintln!("warning: could not write reports to {}: {e}", dir.display()),
+        if let Some(dir) = &self.obs {
+            {
+                sais_prof::zone!("export.timeseries");
+                crate::timeseries::write_timeseries(&dir.join(OBS_TIMESERIES));
             }
-        }
-        // Last, so the profile captures every export zone above.
-        if let Some(path) = &self.profile {
-            crate::profile::write_profile(path);
-        }
-    }
-}
-
-/// The fully-instrumented demo scenario behind `--trace` / `--metrics`:
-/// the paper's 3-Gigabit testbed under SAIs, shrunk to seconds of host
-/// time, with spans and stage histograms on.
-pub fn observability_demo_config() -> ScenarioConfig {
-    let mut cfg = ScenarioConfig::testbed_3gig(8, 512 << 10);
-    cfg.file_size = 4 << 20;
-    cfg.with_policy(PolicyChoice::SourceAware)
-        .with_observability(ObsConfig::full())
-}
-
-/// Run [`observability_demo_config`] and export its flight-recorder trace
-/// (Perfetto `trace_event` JSON) and/or metric snapshot. The snapshot format
-/// follows the file extension: `.csv` gets CSV, anything else the
-/// `sais-metrics-snapshot/v1` JSON schema. Paths are echoed to stderr in the
-/// same `[kind] path` form [`emit`] uses for figure CSVs.
-pub fn write_observability(trace: Option<&Path>, metrics: Option<&Path>) {
-    let (run, cluster) = observability_demo_config().run_full();
-    warn_span_drops(cluster.recorder());
-    if let Some(path) = trace {
-        sais_prof::zone!("export.trace");
-        match sais_obs::perfetto::write_chrome_json(cluster.recorder(), path) {
-            Ok(()) => eprintln!("[trace] {}", path.display()),
-            Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-        }
-    }
-    if let Some(path) = metrics {
-        sais_prof::zone!("export.metrics");
-        let snap = cluster.snapshot_metrics(run.wall_time);
-        let body = if path.extension().is_some_and(|e| e == "csv") {
-            snap.to_csv()
-        } else {
-            snap.to_json()
-        };
-        match fs::write(path, body) {
-            Ok(()) => eprintln!("[metrics] {}", path.display()),
-            Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
+            crate::profile::write_profile(&dir.join(OBS_HOSTPROF));
         }
     }
 }
@@ -357,10 +266,10 @@ impl Sweep {
             .into_iter()
             .map(|mut c| {
                 c.file_size = self.scale.file_size().max(c.transfer_size);
-                // Under `--timeseries` every cell samples windowed
-                // telemetry. Sampling is bit-inert (it only reads values
-                // the model already computed), so the figure CSV is
-                // byte-identical either way — CI pins this.
+                // Under `--obs` every cell samples windowed telemetry.
+                // Sampling is bit-inert (it only reads values the model
+                // already computed), so the figure CSV is byte-identical
+                // either way — CI pins this.
                 if telemetry {
                     c.obs.timeseries = true;
                 }
@@ -370,8 +279,8 @@ impl Sweep {
             .collect();
         let total = cells.len() * seeds;
         // One task = one seed of one cell under both policies: the
-        // (baseline, candidate) samples, plus — under `--timeseries` —
-        // the two runs' telemetry series.
+        // (baseline, candidate) samples, plus — under `--obs` — the two
+        // runs' telemetry series.
         type TaskResult = ([Sample; 2], Option<[TelemetrySeries; 2]>);
         let meter = label.map(|l| ProgressMeter::new(l, cells.len() as u64));
         let mut runs: Vec<Option<TaskResult>> = vec![None; total];
@@ -460,6 +369,7 @@ pub fn emit(name: &str, table: &Table) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
 
     #[test]
     fn scale_parameters() {
@@ -488,45 +398,20 @@ mod tests {
     fn bench_args_defaults_and_scales() {
         let a = parse(&[]).unwrap();
         assert_eq!(a.scale, Scale::Default);
-        assert_eq!(a.trace, None);
-        assert_eq!(a.metrics, None);
-        assert_eq!(a.analyze, None);
+        assert_eq!(a.obs, None);
         assert_eq!(parse(&["--quick"]).unwrap().scale, Scale::Quick);
         assert_eq!(parse(&["--full"]).unwrap().scale, Scale::Full);
     }
 
     #[test]
-    fn bench_args_trace_and_metrics_take_paths() {
-        let a = parse(&["--quick", "--trace", "t.json", "--metrics", "m.csv"]).unwrap();
-        assert_eq!(a.trace.as_deref(), Some(Path::new("t.json")));
-        assert_eq!(a.metrics.as_deref(), Some(Path::new("m.csv")));
-        let a = parse(&["--analyze", "out"]).unwrap();
-        assert_eq!(a.analyze.as_deref(), Some(Path::new("out")));
-        assert!(
-            parse(&["--analyze"]).is_err(),
-            "--analyze needs a directory"
-        );
-    }
-
-    #[test]
-    fn bench_args_timeseries_takes_a_path() {
-        assert_eq!(parse(&[]).unwrap().timeseries, None);
-        let a = parse(&["--quick", "--timeseries", "ts.jsonl"]).unwrap();
-        assert_eq!(a.timeseries.as_deref(), Some(Path::new("ts.jsonl")));
-        let err = parse(&["--timeseries"]).unwrap_err();
-        assert!(err.contains("path"), "{err}");
-    }
-
-    #[test]
-    fn bench_args_profile_takes_a_path() {
-        assert_eq!(parse(&[]).unwrap().profile, None);
-        let a = parse(&["--quick", "--profile", "prof.json"]).unwrap();
-        assert_eq!(a.profile.as_deref(), Some(Path::new("prof.json")));
-        let err = parse(&["--profile"]).unwrap_err();
-        assert!(err.contains("path"), "{err}");
-        assert!(
-            parse(&["--profile", "--quick"]).unwrap().profile.as_deref()
-                == Some(Path::new("--quick")),
+    fn bench_args_obs_takes_a_directory() {
+        let a = parse(&["--quick", "--obs", "out"]).unwrap();
+        assert_eq!(a.obs.as_deref(), Some(Path::new("out")));
+        let err = parse(&["--obs"]).unwrap_err();
+        assert!(err.contains("--obs") && err.contains("directory"), "{err}");
+        assert_eq!(
+            parse(&["--obs", "--quick"]).unwrap().obs.as_deref(),
+            Some(Path::new("--quick")),
             "next token is consumed as the path, flag-lookalike or not"
         );
     }
@@ -536,10 +421,8 @@ mod tests {
         let err = parse(&["--fulll"]).unwrap_err();
         assert!(err.contains("--fulll"), "{err}");
         assert!(parse(&["extra"]).is_err(), "positional args are rejected");
-        let err = parse(&["--trace"]).unwrap_err();
-        assert!(err.contains("path"), "{err}");
-        assert!(parse(&["--metrics"]).is_err());
-        // The multi-process sweep flags are gone, not silently ignored.
+        // The multi-process sweep flags are gone, not silently ignored
+        // (`tests/obs_cli.rs` covers the flags `--obs` replaced).
         for removed in [
             &["--shards", "2"][..],
             &["--shard-worker", "0", "--shard-grid", "0"],
@@ -548,13 +431,6 @@ mod tests {
             let err = parse(removed).unwrap_err();
             assert!(err.contains(removed[0]), "{err}");
         }
-    }
-
-    #[test]
-    fn observability_demo_config_is_valid_and_instrumented() {
-        let cfg = observability_demo_config();
-        cfg.validate().expect("demo scenario must validate");
-        assert!(cfg.obs.spans && cfg.obs.stages);
     }
 
     #[test]

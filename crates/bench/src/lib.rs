@@ -7,9 +7,10 @@
 //! (`cargo run --release -p sais-bench --bin fig05_bandwidth_3gig`) run one
 //! figure, and accept `--full` for the larger file size. All figure
 //! binaries parse flags strictly (unknown flags are an error, exit 2) and
-//! accept `--trace <path>` / `--metrics <path>` to additionally export a
-//! Perfetto trace and a metric snapshot of the instrumented demo scenario
-//! (see [`harness::BenchArgs`]).
+//! accept `--obs <dir>` to write the run's telemetry series and host
+//! profile there (see [`harness::BenchArgs`]). The instrumented demo
+//! scenario's traces, metric snapshots and blame reports come from the
+//! `trace_analyze` binary (see [`analysis`]).
 //!
 //! The paper reads a 10 GB file per run; the default scale here is 128 MB
 //! (full: 1 GB). Steady-state bandwidth is file-size invariant in this

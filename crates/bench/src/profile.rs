@@ -1,4 +1,4 @@
-//! Host-profile export: the `--profile <path>` artifact set.
+//! Host-profile export: the `hostprof.*` artifacts of `--obs <dir>`.
 //!
 //! Serializes one process's [`sais_prof`] zone report plus the always-on
 //! executor counters into three views of the same data:
@@ -15,7 +15,7 @@
 //!
 //! The profiler reads host clocks only, so all of this is bit-inert for
 //! simulation outputs: figure CSVs and telemetry JSONL are byte-identical
-//! with `--profile` on or off (CI pins this).
+//! with the profiler on or off (CI pins this).
 
 use crate::executor::ExecutorStats;
 use sais_obs::json::write_json_string;
@@ -114,7 +114,7 @@ pub fn render_json(report: &ZoneReport, exec: &ExecutorStats) -> String {
     s
 }
 
-/// Write the complete `--profile` artifact set: JSON at `path`, collapsed
+/// Write the complete host-profile artifact set: JSON at `path`, collapsed
 /// stacks at `path.with_extension("folded")`, the top-N table on stderr,
 /// each echoed as `[profile] path` in the house style.
 pub fn write_profile(path: &Path) {

@@ -1,18 +1,19 @@
-//! The `--timeseries` export plane: deterministic aggregation of windowed
+//! The `--obs` telemetry series: deterministic aggregation of windowed
 //! telemetry into one `sais-timeseries/v1` JSONL document.
 //!
-//! Every figure binary accepts `--timeseries <path>`.
-//! When active, the sweep runner enables [`ObsConfig::timeseries`] on every
-//! grid cell — sampling is bit-inert, so the figure CSV does not move — and
-//! folds each run's [`TelemetrySeries`] into a process-global [`Collector`]
-//! keyed by policy label and window epoch. All window payloads are
-//! integers, so the fold is exact, associative and commutative, and the
-//! sweep runner folds in fixed `(cell, seed)` order on top: the merged
-//! series is byte-identical no matter how the grid was scheduled.
+//! Under `--obs <dir>` the sweep runner enables [`ObsConfig::timeseries`]
+//! on every grid cell — sampling is bit-inert, so the figure CSV does not
+//! move — and folds each run's [`TelemetrySeries`] into a process-global
+//! [`Collector`] keyed by policy label and window epoch. All window
+//! payloads are integers, so the fold is exact, associative and
+//! commutative, and the sweep runner folds in fixed `(cell, seed)` order
+//! on top: the merged series is byte-identical no matter how the grid was
+//! scheduled.
 //!
-//! Binaries that never run a sweep grid (`fig12_memsim`, the ablations)
-//! fall back to the instrumented demo scenario, whose
-//! `ObsConfig::full()` has the sampler on.
+//! A binary that runs its cells outside the sweep grid (`fig12`,
+//! `fig14`, `fig_faults`, the ablations, `tab_latency`, `tab_stages`)
+//! folds nothing and writes a header-only series: the export describes
+//! only runs the binary made.
 //!
 //! [`ObsConfig::timeseries`]: sais_core::scenario::ObsConfig
 //! [`TelemetrySeries`]: sais_core::telemetry::TelemetrySeries
@@ -31,12 +32,12 @@ pub const TIMESERIES_SCHEMA: &str = "sais-timeseries/v1";
 pub const SPARKLINE_WIDTH: usize = 64;
 
 /// Process-wide switch, installed once from the parsed command line
-/// (first caller wins). When off —
-/// library use, tests, no `--timeseries` flag — the sweep runner leaves
-/// `ObsConfig::timeseries` alone and collects nothing.
+/// (first caller wins). When off — library use, tests, no `--obs` flag —
+/// the sweep runner leaves `ObsConfig::timeseries` alone and collects
+/// nothing.
 static ACTIVE: OnceLock<bool> = OnceLock::new();
 
-/// Install whether `--timeseries` was passed.
+/// Install whether `--obs` was passed.
 pub fn set_collection_active(on: bool) {
     let _ = ACTIVE.set(on);
 }
@@ -46,7 +47,7 @@ pub fn collection_active() -> bool {
     ACTIVE.get().copied().unwrap_or(false)
 }
 
-/// The process-global collector behind `--timeseries`.
+/// The process-global collector behind `--obs`.
 pub fn collector() -> &'static Mutex<Collector> {
     static COLLECTOR: OnceLock<Mutex<Collector>> = OnceLock::new();
     COLLECTOR.get_or_init(|| Mutex::new(Collector::default()))
@@ -62,16 +63,6 @@ pub struct Collector {
 }
 
 impl Collector {
-    /// Whether nothing has been folded yet.
-    pub fn is_empty(&self) -> bool {
-        self.policies.is_empty()
-    }
-
-    /// Window width of the folded series (0 until the first fold).
-    pub fn width_ns(&self) -> u64 {
-        self.width_ns
-    }
-
     /// Retained windows summed over policies.
     pub fn window_count(&self) -> usize {
         self.policies.values().map(|w| w.len()).sum()
@@ -197,19 +188,8 @@ impl Collector {
 }
 
 /// Write the collected series as JSONL to `path` and render its
-/// sparklines to stderr. When nothing was collected — a binary with no
-/// sweep grid — the instrumented demo scenario (sampler on via
-/// `ObsConfig::full()`) is run as the fallback source.
+/// sparklines to stderr.
 pub fn write_timeseries(path: &Path) {
-    if collector().lock().expect("no poisoning").is_empty() {
-        let cfg = crate::harness::observability_demo_config();
-        let label = cfg.policy.label();
-        let run = cfg.run();
-        collector()
-            .lock()
-            .expect("no poisoning")
-            .fold_series(label, &run.telemetry);
-    }
     let coll = collector().lock().expect("no poisoning");
     match std::fs::write(path, coll.to_jsonl()) {
         Ok(()) => {

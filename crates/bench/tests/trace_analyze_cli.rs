@@ -1,9 +1,9 @@
 //! Subprocess tests of the `trace_analyze` binary: machine-clean stdout,
-//! report files on disk, the zero-stall assertion, and strict flag
-//! parsing.
+//! report files and run exports on disk, reading an export back, the
+//! zero-stall assertion, and strict flag parsing.
 
-use sais_obs::json::MAX_DEPTH;
-use sais_obs::perfetto::to_chrome_json;
+use sais_obs::json::{JsonValue, MAX_DEPTH};
+use sais_obs::perfetto::{to_chrome_json, validate};
 use sais_obs::{FlightRecorder, SpanId};
 use sais_sim::SimTime;
 use std::path::{Path, PathBuf};
@@ -81,25 +81,32 @@ fn demo_mode_emits_pure_csv_and_reports() {
     ] {
         assert!(dir.join(f).exists(), "missing report {f}");
     }
-    let _ = std::fs::remove_dir_all(&dir);
-}
+    // Each policy's run is exported too: a valid Perfetto trace and a
+    // schema-tagged metric snapshot.
+    for label in ["RoundRobin", "SAIs"] {
+        let trace = std::fs::read_to_string(dir.join(format!("trace_{label}.json")))
+            .unwrap_or_else(|e| panic!("trace_{label}.json: {e}"));
+        let stats = validate(&trace).unwrap_or_else(|e| panic!("trace_{label}.json: {e}"));
+        assert!(
+            stats.spans > 0 && stats.child_spans > 0,
+            "{label}: {stats:?}"
+        );
+        let metrics = std::fs::read_to_string(dir.join(format!("metrics_{label}.json")))
+            .unwrap_or_else(|e| panic!("metrics_{label}.json: {e}"));
+        let doc = JsonValue::parse(&metrics).expect("metric snapshot parses");
+        assert_eq!(
+            doc.get("schema").and_then(JsonValue::as_str),
+            Some("sais-metrics-snapshot/v1")
+        );
+    }
 
-#[test]
-fn artifact_mode_round_trips_an_exported_trace() {
-    use sais_core::scenario::PolicyChoice;
-    // Export a real demo trace, then analyze the artifact.
-    let dir = scratch("artifact");
-    std::fs::create_dir_all(&dir).unwrap();
-    let trace_path = dir.join("demo.json");
-    let (_m, cluster) = sais_bench::analysis::demo_config(PolicyChoice::RoundRobin).run_full();
-    sais_obs::perfetto::write_chrome_json(cluster.recorder(), &trace_path).unwrap();
+    // Artifact mode reads the SAIs trace back and reports on it alone.
+    let input = dir.join("input");
     let out = bin()
-        .args([
-            "--input",
-            trace_path.to_str().unwrap(),
-            "--out-dir",
-            dir.to_str().unwrap(),
-        ])
+        .arg("--input")
+        .arg(dir.join("trace_SAIs.json"))
+        .arg("--out-dir")
+        .arg(&input)
         .output()
         .expect("trace_analyze runs");
     assert!(
@@ -107,11 +114,17 @@ fn artifact_mode_round_trips_an_exported_trace() {
         "stderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert_pure_csv(&stdout, "policy,requests,total_ns,category,ns,share");
-    assert!(stdout.contains("artifact,"), "{stdout}");
-    assert!(dir.join("blame_artifact.csv").exists());
-    assert!(dir.join("forensics_artifact.txt").exists());
+    let artifact = String::from_utf8(out.stdout).unwrap();
+    assert_pure_csv(&artifact, "policy,requests,total_ns,category,ns,share");
+    // The same spans blame the same way from the file as in-process.
+    let sais_rows = |csv: &str, label: &str| -> Vec<String> {
+        csv.lines()
+            .filter_map(|l| l.strip_prefix(&format!("{label},")).map(str::to_string))
+            .collect()
+    };
+    assert_eq!(sais_rows(&artifact, "artifact"), sais_rows(&stdout, "SAIs"));
+    assert!(input.join("blame_artifact.csv").exists());
+    assert!(input.join("forensics_artifact.txt").exists());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

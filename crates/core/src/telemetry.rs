@@ -20,7 +20,7 @@
 //!
 //! All cell fields are integers, so absorbing same-epoch cells from
 //! different cells or seeds is exact, associative and commutative: the
-//! `--timeseries` collector lands on the same bytes however the sweep
+//! `--obs` telemetry collector lands on the same bytes however the sweep
 //! was scheduled.
 
 use sais_metrics::{Histogram, WindowPayload, WindowRing};

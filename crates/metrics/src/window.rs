@@ -25,7 +25,7 @@ use crate::histogram::Histogram;
 /// A payload that can live in one window of a [`WindowRing`].
 ///
 /// `absorb` must be exact (integer arithmetic only), associative and
-/// commutative: the `--timeseries` collector folds same-epoch payloads
+/// commutative: the `--obs` telemetry collector folds same-epoch payloads
 /// from many runs and relies on the result being grouping-independent.
 pub trait WindowPayload: Default + Clone {
     /// Fold another same-epoch payload into this one.

@@ -1,6 +1,6 @@
 //! Property tests of the windowed time-series ring: rotation is a pure
 //! function of the virtual clock (record batching cannot move a sample
-//! between windows) — the invariant the `--timeseries` export plane is
+//! between windows) — the invariant the `--obs` telemetry series is
 //! built on.
 
 use proptest::prelude::*;

@@ -37,7 +37,7 @@ pub use forensics::tail_report;
 pub use timeline::CoreTimeline;
 
 use crate::json::JsonValue;
-use crate::perfetto::{span_dur_ns, span_lane, span_parent, span_slot};
+use crate::perfetto::{span_dur_ns, span_lane, span_parent, span_slot, span_ts_ns};
 use crate::span::FlightRecorder;
 use sais_sim::SimTime;
 
@@ -181,7 +181,7 @@ impl Trace {
             // `ts`/`dur` are µs floats derived from integer nanoseconds;
             // rounding recovers the original values exactly for any
             // realistic sim time.
-            let start_ns = (ts * 1000.0).round() as u64;
+            let start_ns = span_ts_ns(id, ts)? as u64;
             let end_ns = start_ns
                 .checked_add(span_dur_ns(id, dur)? as u64)
                 .filter(|&end| end != OPEN_NS)

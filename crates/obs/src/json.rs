@@ -496,11 +496,12 @@ impl<'a> Cursor<'a> {
     }
 
     /// Read the number at the cursor. The scan takes the longest run of
-    /// `-?\d*(\.\d*)?([eE][+-]?\d*)?` and `str::parse` decides what it
-    /// accepts; a run of the form `-?\d+(\.\d+)?` with at most
-    /// [`FAST_DIGITS`] digits is computed directly, as `m / 10^f` with
-    /// both operands exact, which is the correctly rounded value `parse`
-    /// returns too.
+    /// `-?\d*(\.\d*)?([eE][+-]?\d*)?`; RFC 8259 rules out an empty or
+    /// zero-led integer part (`-.5`, `01`) and an empty fraction (`1.`),
+    /// and `str::parse` decides the rest. A run without an exponent and
+    /// with at most [`FAST_DIGITS`] digits is computed directly, as
+    /// `m / 10^f` with both operands exact, which is the correctly rounded
+    /// value `parse` returns too.
     pub(crate) fn number(&mut self) -> Result<f64, JsonError> {
         let bytes = self.text.as_bytes();
         let start = self.pos;
@@ -531,16 +532,20 @@ impl<'a> Cursor<'a> {
             digits(&mut at, &mut 0);
         }
         self.pos = at;
+        let rfc = int_digits > 0
+            && frac_digits != Some(0)
+            && (int_digits == 1 || bytes.get(start + usize::from(negative)) != Some(&b'0'));
         let frac = frac_digits.unwrap_or(0);
-        if !exponent && int_digits > 0 && frac_digits != Some(0) && int_digits + frac <= FAST_DIGITS
-        {
+        if rfc && !exponent && int_digits + frac <= FAST_DIGITS {
             let v = m as f64 / POW10[frac];
             return Ok(if negative { -v } else { v });
         }
         // Every byte scanned is ASCII, so the range is on char boundaries.
         let text = &self.text[start..at];
-        text.parse::<f64>()
-            .map_err(|_| self.err(format!("bad number `{text}`")))
+        match text.parse::<f64>() {
+            Ok(v) if rfc => Ok(v),
+            _ => Err(self.err(format!("bad number `{text}`"))),
+        }
     }
 
     /// Read any value at the cursor, checking it as fully as the other
@@ -694,6 +699,27 @@ mod tests {
             "1.2.3",
         ] {
             assert!(JsonValue::parse(bad).is_err(), "accepted: {bad}");
+        }
+    }
+
+    /// RFC 8259 numbers: no zero-led integer part, no empty fraction.
+    #[test]
+    fn numbers_follow_rfc_8259() {
+        for bad in ["01", "-01", "00.5", "1.", "1.e5", "-.5"] {
+            let err = JsonValue::parse(bad).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("JSON error at byte {}: bad number `{bad}`", bad.len())
+            );
+        }
+        for (good, v) in [
+            ("0", 0.0),
+            ("-0.5", -0.5),
+            ("0e5", 0.0),
+            ("10.05", 10.05),
+            ("1e5", 1e5),
+        ] {
+            assert_eq!(JsonValue::parse(good).unwrap().as_f64(), Some(v), "{good}");
         }
     }
 

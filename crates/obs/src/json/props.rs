@@ -184,11 +184,17 @@ const HEXISH: [char; 12] = [
 ];
 
 /// Numbers at the edges of the grammar and of the fast path.
-const NUMBERS: [&str; 26] = [
+const NUMBERS: [&str; 32] = [
     "-",
     "1.",
     ".5",
     "01",
+    "-01",
+    "00.5",
+    "00",
+    "1.e5",
+    "0e5",
+    "-0.5",
     "1e",
     "1e999",
     "-0",

@@ -272,10 +272,16 @@ impl<'a> Reader<'a> {
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
+        let int_start = self.pos;
         digits(self);
+        let int = &self.text[int_start..self.pos];
+        // RFC 8259: `int = zero / ( digit1-9 *DIGIT )`, `frac = "." 1*DIGIT`.
+        let mut valid = int == "0" || (!int.is_empty() && !int.starts_with('0'));
         if self.peek() == Some(b'.') {
             self.pos += 1;
+            let frac_start = self.pos;
             digits(self);
+            valid &= self.pos > frac_start;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
@@ -287,7 +293,9 @@ impl<'a> Reader<'a> {
         // Every byte scanned is ASCII, so the range is on char boundaries.
         let text = &self.text[start..self.pos];
         text.parse::<f64>()
-            .map_err(|_| self.err(format!("bad number `{text}`")))
+            .ok()
+            .filter(|_| valid)
+            .ok_or_else(|| self.err(format!("bad number `{text}`")))
     }
 }
 

@@ -32,7 +32,6 @@ use crate::json::{exact_u64, key_bit, write_json_string, write_u64, Cursor, Json
 use crate::span::{FlightRecorder, SpanId};
 use sais_sim::SimTime;
 use std::fmt::Write;
-use std::path::Path;
 
 // A span event's layout, as `to_chrome_json` writes it and `match_span`
 // reads it:
@@ -187,11 +186,6 @@ pub fn to_chrome_json(rec: &FlightRecorder) -> String {
     }
     out.push_str("],\n\"displayTimeUnit\": \"ns\"\n}\n");
     out
-}
-
-/// Serialize and write the trace to `path`.
-pub fn write_chrome_json(rec: &FlightRecorder, path: &Path) -> std::io::Result<()> {
-    std::fs::write(path, to_chrome_json(rec))
 }
 
 /// Structural statistics of a validated trace.
@@ -415,6 +409,15 @@ pub(crate) fn span_slot<T>(slots: &mut [Option<T>], id: u64) -> Result<&mut Opti
     Ok(slot)
 }
 
+/// Span `id`'s `ts` in nanoseconds: a time on the simulated clock, so
+/// finite and not negative.
+pub(crate) fn span_ts_ns(id: u64, ts: f64) -> Result<f64, String> {
+    if !(ts.is_finite() && ts >= 0.0) {
+        return Err(format!("span {id} has ts {ts}, not a finite time ≥ 0"));
+    }
+    Ok((ts * 1000.0).round())
+}
+
 /// Span `id`'s `dur` in nanoseconds: a span cannot end before it begins.
 pub(crate) fn span_dur_ns(id: u64, dur: f64) -> Result<f64, String> {
     if dur < 0.0 {
@@ -446,10 +449,11 @@ fn check_events(events: &[EventRecord]) -> Result<TraceStats, String> {
     for ev in events.iter().filter(|ev| ev.ph == Phase::Span) {
         let id = ev.id.ok_or("X event without args.id")?;
         let ts = ev.ts.ok_or("X event without ts")?;
-        let dur = span_dur_ns(id, ev.dur.ok_or("X event without dur")?)?;
+        let dur = ev.dur.ok_or("X event without dur")?;
         // `ts` and `dur` are µs floats of whole nanoseconds, and `ts + dur`
         // can round past a parent's end: compare the nanoseconds they encode.
-        let start = (ts * 1000.0).round();
+        let start = span_ts_ns(id, ts)?;
+        let dur = span_dur_ns(id, dur)?;
         *span_slot(&mut intervals, id)? = Some((start, start + dur));
     }
     let mut stats = TraceStats::default();
@@ -630,6 +634,31 @@ mod tests {
             .unwrap_err()
             .contains("out of range"));
         assert_eq!(validate(&one_span("0")).unwrap().spans, 1);
+    }
+
+    /// A negative or non-finite `ts` once loaded as a span starting at 0
+    /// ns (the cast to `u64` saturates), and validated.
+    #[test]
+    fn both_readers_reject_negative_or_non_finite_ts() {
+        let doc = |ts: &str| {
+            format!(
+                r#"{{"traceEvents": [{{"name": "a", "cat": "c", "ph": "X", "ts": {ts}, "dur": 1.0, "pid": 0, "tid": 0, "args": {{"id": 0, "parent": -1}}}}]}}"#
+            )
+        };
+        for ts in ["-5.0", "-0.001", "1e999", "-1e999"] {
+            let want = format!(
+                "span 0 has ts {}, not a finite time ≥ 0",
+                ts.parse::<f64>().unwrap()
+            );
+            assert_eq!(validate(&doc(ts)).unwrap_err(), want);
+            let err = crate::analyze::Trace::from_chrome_json(&doc(ts)).unwrap_err();
+            assert_eq!(err, want);
+        }
+        for ts in ["0.0", "-0.0", "5.0"] {
+            assert_eq!(validate(&doc(ts)).unwrap().spans, 1, "ts {ts}");
+            let trace = crate::analyze::Trace::from_chrome_json(&doc(ts)).unwrap();
+            assert_eq!(trace.spans().len(), 1, "ts {ts}");
+        }
     }
 
     /// A root span 0 and its child 1, with the child's `dur`, `pid`, `tid`

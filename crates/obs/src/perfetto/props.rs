@@ -3,8 +3,8 @@
 //! them.
 
 use super::{
-    match_span, read_event, span_dur_ns, span_lane, span_parent, span_slot, to_chrome_json,
-    validate, EventRecord, TraceStats,
+    match_span, read_event, span_dur_ns, span_lane, span_parent, span_slot, span_ts_ns,
+    to_chrome_json, validate, EventRecord, TraceStats,
 };
 use crate::json::{Cursor, JsonError, JsonValue, Kind};
 use crate::span::{FlightRecorder, SpanId};
@@ -14,9 +14,9 @@ use proptest::test_runner::TestCaseError;
 use sais_sim::SimTime;
 
 /// The validator as it was before it streamed: parse the whole document
-/// into a tree, then check it in two passes. Span ids are bounded, `dur`,
-/// `args.parent`, `pid` and `tid` read strictly, and nesting compared in
-/// whole nanoseconds, the same way.
+/// into a tree, then check it in two passes. Span ids are bounded, `ts`,
+/// `dur`, `args.parent`, `pid` and `tid` read strictly, and nesting
+/// compared in whole nanoseconds, the same way.
 fn tree_validate(text: &str) -> Result<TraceStats, String> {
     let doc = JsonValue::parse(text).map_err(|e| e.to_string())?;
     let events = doc
@@ -40,8 +40,8 @@ fn tree_validate(text: &str) -> Result<TraceStats, String> {
                 .get("dur")
                 .and_then(JsonValue::as_f64)
                 .ok_or("X event without dur")?;
+            let start = span_ts_ns(id, ts)?;
             let dur = span_dur_ns(id, dur)?;
-            let start = (ts * 1000.0).round();
             *span_slot(&mut intervals, id)? = Some((start, start + dur));
         }
     }

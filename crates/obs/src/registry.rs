@@ -4,7 +4,7 @@
 //! site summed by hand; the registry replaces that with a single named
 //! namespace (`"irq.routed"`, `"mem.l2_misses"`, `"stage.irq_to_handler"`)
 //! that can be snapshotted **at any sim time** — mid-run or at quiescence —
-//! and exported as machine-readable JSON or CSV. Values are written by a
+//! and exported as machine-readable JSON. Values are written by a
 //! collect pass over the components (pull model), so registration costs
 //! the hot paths nothing.
 
@@ -188,33 +188,6 @@ impl MetricSnapshot {
         s.push_str("\n  }\n}\n");
         s
     }
-
-    /// Serialize as CSV with one row per scalar: `metric,kind,value`.
-    /// Histogram summaries are flattened (`name.p50_ns`, …).
-    pub fn to_csv(&self) -> String {
-        let mut s = String::from("metric,kind,value\n");
-        s.push_str(&format!("sim_time_ns,time,{}\n", self.time.as_nanos()));
-        for (n, v) in &self.counters {
-            s.push_str(&format!("{n},counter,{v}\n"));
-        }
-        for (n, v) in &self.gauges {
-            s.push_str(&format!("{n},gauge,{}\n", json_f64(*v)));
-        }
-        for (n, h) in &self.hists {
-            for (field, value) in [
-                ("count", h.count as f64),
-                ("mean_ns", h.mean),
-                ("min_ns", h.min as f64),
-                ("max_ns", h.max as f64),
-                ("p50_ns", h.p50 as f64),
-                ("p90_ns", h.p90 as f64),
-                ("p99_ns", h.p99 as f64),
-            ] {
-                s.push_str(&format!("{n}.{field},histogram,{}\n", json_f64(value)));
-            }
-        }
-        s
-    }
 }
 
 #[cfg(test)]
@@ -276,16 +249,6 @@ mod tests {
         assert_eq!(h.get("count").and_then(JsonValue::as_u64), Some(3));
         assert_eq!(h.get("min_ns").and_then(JsonValue::as_u64), Some(1_000));
         assert_eq!(h.get("max_ns").and_then(JsonValue::as_u64), Some(4_000));
-    }
-
-    #[test]
-    fn snapshot_csv_is_flat_and_complete() {
-        let csv = sample().to_csv();
-        assert!(csv.starts_with("metric,kind,value\n"));
-        assert!(csv.contains("irq.routed,counter,256"));
-        assert!(csv.contains("mem.l2_miss_rate,gauge,0.015"));
-        assert!(csv.contains("stage.irq_to_handler.count,histogram,3"));
-        assert!(csv.contains("stage.irq_to_handler.p99_ns,histogram,"));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! 1. **Disabled is one branch.** Every [`zone!`] site compiles to a
 //!    single relaxed atomic load and a conditional when profiling is off
 //!    — no clock read, no thread-local access, no allocation. Profiling
-//!    is off by default and only `--profile` turns it on.
+//!    is off by default and only `--obs` turns it on.
 //! 2. **Bit-inert.** The profiler reads host clocks and nothing else; it
 //!    never touches simulation state, so every figure CSV and telemetry
 //!    JSONL is byte-identical with profiling on or off (pinned by
