@@ -15,7 +15,7 @@
 //! Expensive cluster-wide sweeps (policy churn, fault counters) happen
 //! once per rotation, attributed to the window that just closed, and the
 //! closed window is folded into the streaming
-//! [`DetectorState`](sais_obs::DetectorState) immediately — bounded
+//! [`DetectorState`] immediately — bounded
 //! memory, O(1) per-window detector state.
 //!
 //! All cell fields are integers, so absorbing same-epoch cells from

@@ -34,9 +34,12 @@
 //! operation is a range operation over runs: a fill, promotion or
 //! invalidation of sets `[a, b)` splits at most the two runs at its ends
 //! and updates each run in between once. The per-set `recency` words
-//! and raw `tags` are the materialized form, authoritative only where a
-//! list says so: a block whose recency needs more than eight runs, or a
-//! strip run marked raw.
+//! and raw `tags` are the materialized form, allocated when the first
+//! block or strip materializes: a block whose recency needs more than
+//! eight runs, or a strip run marked raw. Until then a cache holds
+//! neither store, so building one costs O(blocks), not O(sets × ways).
+//! A geometry without blocks has every set materialized from the start
+//! and allocates both stores at construction.
 
 use crate::addr::LineAddr;
 use crate::runs::{Runs, MAX_RUNS};
@@ -91,10 +94,13 @@ pub struct CacheStats {
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     /// Raw tag per way slot (`(way << set_shift) | set`); `TAG_INVALID`
-    /// empty. Authoritative only under a raw strip run.
+    /// empty. Authoritative only under a raw strip run; with blocks,
+    /// allocated when the first strip materializes (empty before).
     tags: Box<[u64]>,
     /// Per-set recency permutation: 4-bit way indices, MRU first.
-    /// Authoritative only for a block whose recency runs are empty.
+    /// Authoritative only for a block whose recency runs are empty;
+    /// with blocks, allocated when the first block materializes (empty
+    /// before).
     recency: Box<[u64]>,
     /// Per-set occupancy bitmask: bit `w` set ⇔ way `w` holds a valid tag.
     occ: Box<[u16]>,
@@ -204,9 +210,16 @@ impl SetAssocCache {
         } else {
             0
         };
+        // With blocks every set starts on its runs, so the stores wait for
+        // the first materialization; without, they are authoritative now.
+        let (tags, recency) = if blocks != 0 {
+            (Box::default(), Box::default())
+        } else {
+            (Self::tag_store(sets, assoc), Self::recency_store(sets))
+        };
         SetAssocCache {
-            tags: vec![TAG_INVALID; sets * assoc].into_boxed_slice(),
-            recency: vec![PERM_IDENTITY; sets].into_boxed_slice(),
+            tags,
+            recency,
             occ: vec![0u16; sets].into_boxed_slice(),
             sets,
             assoc,
@@ -270,12 +283,26 @@ impl SetAssocCache {
         left.min(room)
     }
 
+    /// An empty tag store: every way slot `TAG_INVALID`.
+    fn tag_store(sets: usize, assoc: usize) -> Box<[u64]> {
+        vec![TAG_INVALID; sets * assoc].into_boxed_slice()
+    }
+
+    /// A per-set recency store, every word the identity permutation.
+    fn recency_store(sets: usize) -> Box<[u64]> {
+        vec![PERM_IDENTITY; sets].into_boxed_slice()
+    }
+
     /// Write block `b`'s recency runs into its per-set words and hand
-    /// authority to them.
+    /// authority to them, allocating the per-set store on the first
+    /// call.
     fn materialize_recency(&mut self, b: usize) {
         let rec = self.blk[b].rec;
         if rec.is_empty() {
             return;
+        }
+        if self.recency.is_empty() {
+            self.recency = Self::recency_store(self.sets);
         }
         let s0 = b << BLOCK_SHIFT;
         for (s, e, p) in rec.pieces(0, BLOCK_SETS) {
@@ -314,12 +341,16 @@ impl SetAssocCache {
     }
 
     /// Write strip `(way, b)`'s group and empty runs into its raw tags,
-    /// leaving one raw run.
+    /// leaving one raw run, and allocating the tag store on the first
+    /// call.
     fn materialize_strip(&mut self, way: usize, b: usize) {
         let i = way * self.blocks + b;
         let runs = self.strips[i];
         if runs.single() == Some(STRIP_RAW) {
             return;
+        }
+        if self.tags.is_empty() {
+            self.tags = Self::tag_store(self.sets, self.assoc);
         }
         let base = self.slot(way, b << BLOCK_SHIFT);
         for (s, e, v) in runs.pieces(0, BLOCK_SETS) {
@@ -918,22 +949,32 @@ impl SetAssocCache {
     /// line.
     #[inline(always)]
     pub(crate) fn tag_at(&self, slot: u32) -> u64 {
-        debug_assert!((slot as usize) < self.tags.len());
+        debug_assert!((slot as usize) < self.sets * self.assoc);
         let i = slot as usize;
-        // SAFETY (all `get_unchecked` calls): directory entries are only
-        // ever written as `pack(core, slot)` with a slot of this
-        // geometry, and every cache in a system has the same geometry —
-        // so a recorded slot (even a stale one) is within `tags`, and
-        // its `(way, block)` strip index within `strips`.
         if self.blocks != 0 {
             let (way, set) = (i >> self.set_shift, i & (self.sets - 1));
             let (b, j) = (set >> BLOCK_SHIFT, set & (BLOCK_SETS - 1));
+            // SAFETY: directory entries are only ever written as
+            // `pack(core, slot)` with a slot of this geometry, and every
+            // cache in a system has the same geometry — so a recorded
+            // slot (even a stale one) is below `sets × assoc`, and its
+            // `(way, block)` index is below `strips.len()`.
             match unsafe { self.strips.get_unchecked(way * self.blocks + b) }.get(j) {
                 STRIP_RAW => {}
                 STRIP_EMPTY => return TAG_INVALID,
                 g1 => return ((g1 as u64 - 1) << BLOCK_SHIFT) | j as u64,
             }
         }
+        debug_assert_eq!(
+            self.tags.len(),
+            self.sets * self.assoc,
+            "a raw strip run without a tag store"
+        );
+        // SAFETY: the slot is below `sets × assoc` (above), and the tag
+        // store holds that many words here: a geometry without blocks
+        // allocates it at construction, and with blocks a raw run exists
+        // only after `materialize_strip`, the one place that creates raw
+        // runs, allocated the store.
         unsafe { *self.tags.get_unchecked(i) }
     }
 
@@ -1020,9 +1061,9 @@ impl SetAssocCache {
                 for (s, e, v) in runs.pieces(0, BLOCK_SETS) {
                     for j in s..e {
                         let held = self.occ[s0 + j] & (1 << way) != 0;
-                        let raw = self.tags[self.slot(way, s0 + j)];
+                        let slot = self.slot(way, s0 + j);
                         let ok = match v {
-                            STRIP_RAW => held == (raw != TAG_INVALID),
+                            STRIP_RAW => held == (self.tags[slot] != TAG_INVALID),
                             STRIP_EMPTY => !held,
                             _ => held,
                         };
@@ -1241,14 +1282,15 @@ mod tests {
         }
     }
 
-    #[test]
-    fn nine_runs_materialize_and_stay_exact() {
-        // Promote one set in each of nine 7-set pieces of a full block:
-        // the alternating words need more than eight runs, the block
-        // goes per-set, and a fill over it takes the per-set path. A
-        // whole-block promotion re-merges the words, and the next
-        // operation re-derives the block's runs. The state stays exact
-        // throughout.
+    /// Whether the tag store and the per-set recency store are allocated.
+    fn stores(c: &SetAssocCache) -> (bool, bool) {
+        (!c.tags.is_empty(), !c.recency.is_empty())
+    }
+
+    /// A full 64-set, 2-way block whose recency is pushed past eight
+    /// runs: one set promoted in each of nine 7-set pieces leaves
+    /// alternating words, so the block goes per-set. Exact throughout.
+    fn materialized_block() -> (SetAssocCache, PerLine) {
         let mut c = SetAssocCache::new(64, 2);
         let mut o = PerLine::new(64, 2);
         for g in 0..2u64 {
@@ -1259,12 +1301,89 @@ mod tests {
             assert_same(&c, &o);
         }
         assert!(c.blk[0].rec.is_empty(), "the block materialized");
+        (c, o)
+    }
+
+    #[test]
+    fn nine_runs_materialize_and_stay_exact() {
+        // A fill over a materialized block takes the per-set path. A
+        // whole-block promotion re-merges the words, and the next
+        // operation re-derives the block's runs. The state stays exact
+        // throughout.
+        let (mut c, mut o) = materialized_block();
         assert!(apply(&mut c, &mut o, 0, 128 + 1, 3), "per-set fill");
         assert_same(&c, &o);
         apply(&mut c, &mut o, 1, 64, 64);
         apply(&mut c, &mut o, 1, 64, 1);
         assert_same(&c, &o);
         assert!(!c.blk[0].rec.is_empty(), "runs re-derived");
+    }
+
+    #[test]
+    fn fresh_cache_holds_neither_store() {
+        // The modelled L2: eight blocks on their runs, no per-set state.
+        // Whole-group fills and hits stay on the runs and allocate none.
+        let mut c = SetAssocCache::new(512, 16);
+        assert_eq!(stores(&c), (false, false));
+        assert_eq!(c.fill_block(LineAddr(0)), Some((0, None)));
+        let mut log = FillLog::default();
+        c.fill_run(line(64), 64, &mut log);
+        c.promote_uniform(line(0), 0, 64);
+        assert!(c.access(line(70)));
+        assert_eq!(stores(&c), (false, false));
+        c.check_block_invariants();
+    }
+
+    #[test]
+    fn recency_overflow_allocates_only_the_recency_store() {
+        let (c, _) = materialized_block();
+        assert_eq!(stores(&c), (false, true));
+        assert_eq!(c.recency.len(), 64);
+    }
+
+    #[test]
+    fn first_raw_strip_allocates_the_tag_store() {
+        // A fill into a materialized block stores its tags raw.
+        let (mut c, mut o) = materialized_block();
+        assert!(apply(&mut c, &mut o, 0, 128 + 1, 3), "per-set fill");
+        assert_eq!(stores(&c), (true, true));
+        assert_eq!(c.tags.len(), 64 * 2);
+        assert_same(&c, &o);
+        // Materializing a strip directly allocates the tag store alone.
+        let mut c = SetAssocCache::new(512, 16);
+        let mut o = PerLine::new(512, 16);
+        apply(&mut c, &mut o, 0, 0, 64);
+        c.materialize_strip(0, 0);
+        assert_eq!(stores(&c), (true, false));
+        assert_same(&c, &o);
+    }
+
+    #[test]
+    fn blockless_geometry_allocates_both_stores() {
+        let c = SetAssocCache::new(32, 4);
+        assert_eq!(stores(&c), (true, true));
+        assert!(c.tags.iter().all(|&t| t == TAG_INVALID));
+        assert_eq!(c.tags.len(), 32 * 4);
+        assert!(c.recency.iter().all(|&p| p == PERM_IDENTITY));
+        assert_eq!(c.recency.len(), 32);
+    }
+
+    #[test]
+    fn clone_before_allocation_leaves_the_original_untouched() {
+        let mut c = SetAssocCache::new(64, 2);
+        let mut o = PerLine::new(64, 2);
+        for g in 0..2u64 {
+            apply(&mut c, &mut o, 0, g * 64, 64);
+        }
+        let (mut d, mut od) = (c.clone(), o.clone());
+        for k in 0..9u64 {
+            apply(&mut d, &mut od, 1, k * 7, 1);
+        }
+        assert!(apply(&mut d, &mut od, 0, 128 + 1, 3), "per-set fill");
+        assert_eq!(stores(&d), (true, true));
+        assert_same(&d, &od);
+        assert_eq!(stores(&c), (false, false));
+        assert_same(&c, &o);
     }
 
     #[test]

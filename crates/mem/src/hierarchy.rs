@@ -173,9 +173,7 @@ impl MemorySystem {
         MemorySystem {
             params,
             caches,
-            // Only resident lines have entries, so worst case is every way
-            // of every cache full.
-            directory: LineTable::with_capacity(cores * lines_per_cache),
+            directory: LineTable::default(),
             extents: ExtentMap::default(),
             extents_on,
             set_shift: sets.trailing_zeros(),
@@ -283,7 +281,7 @@ impl MemorySystem {
     /// In the steady state the cost is proportional to **ownership
     /// boundaries, not lines**: each aligned 64-line group (or the part
     /// of one a range's edge clips) is served off its extent summary
-    /// (see [`crate::extent`]) one run at a time — a run of local hits
+    /// (the `extent` module) one run at a time — a run of local hits
     /// is one batched recency promotion, a run resident in another cache
     /// one batched invalidation plus one batched fill, and an absent run
     /// goes straight to the batched fill without reading (or validating)

@@ -22,7 +22,7 @@
 //! definition in the paper.
 //!
 //! Steady-state touches cost O(ownership boundaries), not O(lines): an
-//! extent-grained residency summary over the directory ([`extent`])
+//! extent-grained residency summary over the directory (`extent`)
 //! serves each 64-line group run by run — where its lines sit, and the
 //! caches' recency and tags, are bounded run lists (`runs`) — and the
 //! exact per-line walk remains both the fallback (a group placed in more

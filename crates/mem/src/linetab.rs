@@ -77,13 +77,6 @@ pub(crate) struct LineTable {
 }
 
 impl LineTable {
-    /// An empty table. (`max_entries` bounds live lines, not key range,
-    /// so there is nothing useful to pre-size; kept for symmetry with the
-    /// memory system's capacity reasoning.)
-    pub(crate) fn with_capacity(_max_entries: usize) -> Self {
-        LineTable::default()
-    }
-
     /// Entries holding a value (live or stale). O(pages); diagnostics
     /// only.
     #[cfg(test)]
@@ -169,7 +162,7 @@ mod tests {
 
     #[test]
     fn insert_get_round_trip() {
-        let mut t = LineTable::with_capacity(8);
+        let mut t = LineTable::default();
         for i in 0..100u64 {
             t.insert(i * 3, pack((i % 4) as usize, i as u32));
         }
@@ -185,7 +178,7 @@ mod tests {
 
     #[test]
     fn overwrite_keeps_single_entry() {
-        let mut t = LineTable::with_capacity(4);
+        let mut t = LineTable::default();
         t.insert(7, pack(0, 1));
         t.insert(7, pack(3, 9));
         assert_eq!(t.len(), 1);
@@ -195,7 +188,7 @@ mod tests {
 
     #[test]
     fn slot_ptr_reads_empty_then_inserts() {
-        let mut t = LineTable::with_capacity(4);
+        let mut t = LineTable::default();
         let s = t.slot_ptr(42);
         assert_eq!(*s, EMPTY);
         *s = pack(2, 5);
@@ -209,7 +202,7 @@ mod tests {
 
     #[test]
     fn keys_on_distinct_pages() {
-        let mut t = LineTable::with_capacity(4);
+        let mut t = LineTable::default();
         let far = [0u64, PAGE_LINES as u64, 10 * PAGE_LINES as u64 + 17];
         for (n, &k) in far.iter().enumerate() {
             t.insert(k, pack(1, n as u32));

@@ -2,7 +2,7 @@
 //!
 //! Aggregates tell you the p99.9 moved; forensics tells you *why that
 //! request* was the p99.9. The tail threshold comes from the same
-//! log-linear [`Histogram`](sais_metrics::Histogram) the metric registry
+//! log-linear [`Histogram`] the metric registry
 //! uses, so the cutoff here agrees with the quantiles reported
 //! everywhere else in the repo.
 
